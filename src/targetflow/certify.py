@@ -26,8 +26,9 @@ DESIGN_STEPS = 2 * SIM_STEPS
 
 
 class NotNumericallyControllable(RuntimeError):
-    """The Gramian restricted to the outputs is too ill-conditioned to
-    invert, so the allocation cannot be certified numerically."""
+    """The allocation cannot be certified numerically: the Krylov blocks of
+    the rank test leave the float64 range, or the Gramian restricted to the
+    outputs is too ill-conditioned to invert."""
 
 
 class LtiSystem:
@@ -114,13 +115,21 @@ def kalman_target_rank(sys: LtiSystem) -> int:
     rank comes from row reduction where a pivot only counts if it exceeds
     1e-9 times the largest entry of its column.  The system is target
     controllable iff this equals the number of targets.
+
+    Raises:
+        NotNumericallyControllable: some A^k B overflows, so its columns
+            (inf or NaN) would count toward the rank unchecked.
     """
     n = sys.A.shape[0]
     blocks = []
     x = sys.B
-    for _ in range(n):
-        blocks.append(sys.C @ x)
-        x = sys.A @ x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            if not np.isfinite(x).all():
+                raise NotNumericallyControllable(
+                    f"Krylov block A^{k} B overflows float64")
+            blocks.append(sys.C @ x)
+            x = sys.A @ x
     return _numeric_rank(np.hstack(blocks), RANK_RTOL)
 
 

@@ -126,7 +126,10 @@ def _cmd_verify(args):
     else:
         alloc = allocate_drivers(sol.cover)
     sysm = certify.realize_system(g, members, alloc, args.seed)
-    rank = certify.kalman_target_rank(sysm)
+    try:
+        rank = certify.kalman_target_rank(sysm)
+    except certify.NotNumericallyControllable as exc:
+        raise _InputError(EXIT_NUMERIC, str(exc)) from exc
     report = {
         "targets": len(members),
         "drivers": alloc.driver_count,

@@ -78,12 +78,6 @@ class TargetFlowNetwork:
     targets: tuple[int, ...]
     edge_arcs: tuple[int, ...]
 
-    def in_node(self, v: int) -> int:
-        return v
-
-    def out_node(self, v: int) -> int:
-        return self.n + v
-
 
 @dataclass(frozen=True)
 class CirculationNetwork:
@@ -136,9 +130,10 @@ def build_target_network(g: DiGraph, targets) -> TargetFlowNetwork:
                              tuple(range(edge_start, len(arcs))))
 
 
-def extract_cover_edges(tnet: TargetFlowNetwork,
+def extract_cover_edges(tnet: TargetFlowNetwork | CirculationNetwork,
                         assignment: FlowAssignment) -> list[tuple[int, int]]:
-    """Graph edges whose arc carries unit flow, in edge order.
+    """Graph edges whose arc carries unit flow, in edge order, from either
+    node-split network.
 
     Raises:
         ValueError: some node has two selected in-edges or two selected
@@ -147,22 +142,16 @@ def extract_cover_edges(tnet: TargetFlowNetwork,
     heads_seen = set()
     tails_seen = set()
     selected = []
-    for edge, arc_idx in _edge_pairs(tnet):
+    for arc_idx in tnet.edge_arcs:
         if assignment.flow[arc_idx] == 1:
-            t, h = edge
+            a = tnet.net.arcs[arc_idx]
+            t, h = a.tail - tnet.n, a.head
             if t in tails_seen or h in heads_seen:
                 raise ValueError(f"flow selects conflicting edges at ({t}, {h})")
             tails_seen.add(t)
             heads_seen.add(h)
-            selected.append(edge)
+            selected.append((t, h))
     return selected
-
-
-def _edge_pairs(tnet):
-    """Pairs of (graph edge, arc index) for the edge-class arcs."""
-    for arc_idx in tnet.edge_arcs:
-        a = tnet.net.arcs[arc_idx]
-        yield (a.tail - tnet.n, a.head), arc_idx
 
 
 def decompose_cover(cover_edges, targets) -> PathCover:
@@ -266,21 +255,13 @@ def solve_via_circulation(g: DiGraph, targets) -> Solution:
     members = _checked_targets(g, targets)
     cnet = build_circulation_network(g, members)
     assignment = min_flow_with_bounds(cnet.net)
-    cover_edges = [edge for edge, arc_idx in _circulation_edges(cnet)
-                   if assignment.flow[arc_idx] == 1]
-    cover = decompose_cover(cover_edges, members)
+    cover = decompose_cover(extract_cover_edges(cnet, assignment), members)
     if len(cover.paths) != assignment.value:
         raise AssertionError(
             f"path count {len(cover.paths)} differs from minimum flow "
             f"{assignment.value}")
     return Solution(cover, max(len(cover.paths), 1),
                     len(members) - len(cover.paths))
-
-
-def _circulation_edges(cnet):
-    for arc_idx in cnet.edge_arcs:
-        a = cnet.net.arcs[arc_idx]
-        yield (a.tail - cnet.n, a.head), arc_idx
 
 
 def allocate_drivers(cover: PathCover) -> DriverAllocation:
@@ -298,24 +279,16 @@ def verify_cover(g: DiGraph, targets, cover: PathCover) -> bool:
     cycles of ``g`` whose union covers every target."""
     edge_set = set(g.edges)
     seen: set[int] = set()
-    for path in cover.paths:
-        if len(path) == 0:
+    walks = ([(p, p[1:]) for p in cover.paths]
+             + [(c, c[1:] + c[:1]) for c in cover.cycles])
+    for nodes, successors in walks:
+        if len(nodes) == 0:
             return False
-        for v in path:
+        for v in nodes:
             if not (0 <= v < g.n) or v in seen:
                 return False
             seen.add(v)
-        for a, b in zip(path, path[1:]):
-            if (a, b) not in edge_set:
-                return False
-    for cyc in cover.cycles:
-        if len(cyc) == 0:
-            return False
-        for v in cyc:
-            if not (0 <= v < g.n) or v in seen:
-                return False
-            seen.add(v)
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+        for a, b in zip(nodes, successors):
             if (a, b) not in edge_set:
                 return False
     try:

@@ -3,6 +3,12 @@
 Networks carry integer lower/upper bounds per arc.  Unbounded capacity is
 expressed with the ``INF`` marker; solvers substitute an integer sentinel
 larger than any achievable flow so that all arithmetic stays integral.
+Residual capacities are int64, so a finite capacity or sentinel beyond
+that range raises ``ValueError``.
+
+One residual engine runs every solver: maximum flow, the saturation of the
+associate graph behind feasible circulations, and the cancellation step of
+the minimum flow, which starts it from the circulation's residual.
 
 Determinism: arcs are traversed in ascending insertion order everywhere
 (BFS level construction and blocking-flow DFS), so a given network always
@@ -10,13 +16,17 @@ yields the same flow assignment, not merely the same value.
 """
 
 import math
-from collections import deque
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 INF = math.inf
+
+# The one-time pruning sweeps are worth their numpy overhead only on bulk
+# networks; smaller ones skip them.  Pruning never changes the assignment.
+_PRUNE_MIN_ARCS = 2000
 
 
 class InfeasibleFlowError(RuntimeError):
@@ -76,235 +86,117 @@ class BoundedFlowNetwork:
             if a.tail == self.sink and a.head != self.source and a.cap > 0:
                 raise ValueError("sink admits no outgoing arc besides a return arc")
 
-    def arcs_from(self, node: int) -> list[int]:
-        return [i for i, a in enumerate(self.arcs) if a.tail == node]
 
-    def arcs_into(self, node: int) -> list[int]:
-        return [i for i, a in enumerate(self.arcs) if a.head == node]
-
-
-def _int_sentinel(arcs) -> int:
-    """Integer strictly larger than any flow the finite bounds can carry."""
-    total = 1
-    for a in arcs:
-        if a.cap != INF:
-            total += int(a.cap)
-        total += int(a.lower)
-    return total
+def _columns(arcs):
+    """Tail, head, lower and integer capacity columns of ``arcs``, with
+    ``INF`` mapped to an integer larger than any flow the finite bounds can
+    carry."""
+    if not arcs:
+        return (), (), (), []
+    tail, head, lower, cap, _ = zip(*arcs)
+    big = (1 + sum(int(c) for c in cap if c != INF) + sum(map(int, lower))
+           if INF in cap else None)
+    return tail, head, lower, [big if c == INF else int(c) for c in cap]
 
 
-class _Dinic:
-    """Residual-graph Dinic solver.
+def _distinct(nodes):
+    """Sorted distinct entries of an integer array.  ``np.unique`` would
+    do, but it imports ``numpy.ma`` (about 1.7 MB resident with numpy 2.4),
+    which a small solve would pay for in peak memory."""
+    nodes = np.sort(nodes)
+    keep = np.ones(nodes.size, dtype=bool)
+    keep[1:] = nodes[1:] != nodes[:-1]
+    return nodes[keep]
 
-    Arcs live in paired slots: forward arc at index ``2k`` and its residual
-    reverse at ``2k ^ 1``.  Adjacency lists keep insertion order, which makes
-    every BFS/DFS tie-break resolve toward the lowest arc index.
+
+class _ResidualDinic:
+    """Dinic maximum flow on an int64 residual network.
+
+    Arc ``i`` owns slot ``2i`` (forward) and slot ``2i ^ 1`` (reverse).  The
+    slots leaving each node form a CSR in ascending slot order, so every
+    tie-break resolves toward the lowest arc index.  Residual capacities
+    live in an ``array("q")`` that numpy views without copying: level
+    sweeps run as vectorized gathers, the blocking-flow DFS walks flat
+    Python sequences.  ``fwd``/``rev`` give each arc's initial residual
+    capacity both ways, which lets a search start from a nonzero flow.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, tail, head, fwd, rev=None):
         self.n = n
-        self.adj: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
+        m = len(tail)
+        heads = np.empty(2 * m, dtype=np.int64)
+        heads[0::2] = head
+        heads[1::2] = tail
+        self._head_np = heads
+        self._tail_np = heads[np.arange(2 * m) ^ 1]
+        self._adj_np = np.argsort(self._tail_np, kind="stable")
+        self._indptr_np = np.concatenate(
+            ([0], np.cumsum(np.bincount(self._tail_np, minlength=n))))
+        self.head = heads.tolist()
+        self.cap = array("q", bytes(16 * m))
+        self._cap_np = np.frombuffer(self.cap, dtype=np.int64)
+        try:
+            self._cap_np[0::2] = fwd
+            if rev is not None:
+                self._cap_np[1::2] = rev
+        except OverflowError:
+            raise ValueError("capacity or INF sentinel outside the int64 "
+                             "range") from None
+        self._fwd = self._cap_np[0::2].copy()
 
-    def add_arc(self, u: int, v: int, cap_fwd: int, cap_rev: int = 0) -> int:
-        i = len(self.to)
-        self.to.append(v)
-        self.cap.append(cap_fwd)
-        self.adj[u].append(i)
-        self.to.append(u)
-        self.cap.append(cap_rev)
-        self.adj[v].append(i + 1)
-        return i
-
-    def flow_on(self, arc_id: int, cap_fwd: int) -> int:
-        return cap_fwd - self.cap[arc_id]
-
-    def max_flow(self, s: int, t: int) -> int:
-        total = 0
-        while self._bfs(s, t):
-            total += self._blocking_flow(s, t)
-        return total
-
-    def _bfs(self, s: int, t: int) -> bool:
-        level = [-1] * self.n
-        level[s] = 0
-        q = deque([s])
-        to, cap, adj = self.to, self.cap, self.adj
-        t_level = -1
-        while q:
-            u = q.popleft()
-            lu = level[u]
-            if t_level >= 0 and lu >= t_level:
-                continue  # nothing past the sink's layer can matter
-            lu += 1
-            for i in adj[u]:
-                if cap[i] > 0:
-                    v = to[i]
-                    if level[v] < 0:
-                        level[v] = lu
-                        if v == t:
-                            t_level = lu
-                        else:
-                            q.append(v)
-        self.level = level
-        return level[t] >= 0
-
-    def _blocking_flow(self, s: int, t: int) -> int:
-        to, cap, adj, level = self.to, self.cap, self.adj, self.level
-        it = [0] * self.n
-        path: list[int] = []
-        total = 0
-        u = s
-        while True:
-            if u == t:
-                aug = min(cap[i] for i in path)
-                total += aug
-                cut = None
-                for idx, i in enumerate(path):
-                    cap[i] -= aug
-                    cap[i ^ 1] += aug
-                    if cut is None and cap[i] == 0:
-                        cut = idx
-                del path[cut + 1 :]
-                sat = path.pop()
-                u = to[sat ^ 1]
-                it[u] += 1
-                continue
-            lst = adj[u]
-            iu = it[u]
-            nxt = level[u] + 1
-            arc = -1
-            while iu < len(lst):
-                i = lst[iu]
-                if cap[i] > 0 and level[to[i]] == nxt:
-                    arc = i
-                    break
-                iu += 1
-            it[u] = iu
-            if arc >= 0:
-                path.append(arc)
-                u = to[arc]
-            else:
-                if u == s:
-                    break
-                level[u] = -1  # dead end for the rest of this phase
-                i = path.pop()
-                u = to[i ^ 1]
-                it[u] += 1
-        return total
-
-
-class _DinicUnit:
-    """Dinic specialized to networks whose capacities are all one.
-
-    Residual capacities live in a bytearray (arc ``i`` forward at slot
-    ``2i``, reverse at ``2i ^ 1``); level construction runs layer by layer
-    as vectorized numpy gathers over a CSR adjacency, while the blocking
-    flow walks flat Python lists.  Traversal order is ascending arc index,
-    matching the generic solver exactly.
-    """
-
-    def __init__(self, n: int, arcs):
-        self.n = n
-        m = len(arcs)
-        self.cap = bytearray(2 * m)
-        head = [0] * (2 * m)
-        buckets: list[list[int]] = [[] for _ in range(n)]
-        for i, a in enumerate(arcs):
-            p = 2 * i
-            self.cap[p] = 1
-            head[p] = a.head
-            head[p + 1] = a.tail
-            buckets[a.tail].append(p)
-            buckets[a.head].append(p + 1)
-        self.head = head
-        indptr = [0] * (n + 1)
-        adj_flat: list[int] = []
-        for v in range(n):
-            adj_flat.extend(buckets[v])
-            indptr[v + 1] = len(adj_flat)
-        self.adj_flat = adj_flat
-        self.indptr = indptr
-        self._adj_np = np.asarray(adj_flat, dtype=np.int64)
-        self._head_np = np.asarray(head, dtype=np.int64)
-        self._tail_np = self._head_np[np.arange(2 * m, dtype=np.int64) ^ 1]
-        self._indptr_np = np.asarray(indptr, dtype=np.int64)
-        self._cap_np = np.frombuffer(self.cap, dtype=np.uint8)
+    def pushed(self) -> list[int]:
+        """Net flow each arc gained, in arc order."""
+        return (self._fwd - self._cap_np[0::2]).tolist()
 
     def _gather(self, frontier):
-        indptr, adj = self._indptr_np, self._adj_np
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return adj[:0]
-        before = np.repeat(np.cumsum(counts) - counts, counts)
-        return adj[np.repeat(starts, counts) + np.arange(total) - before]
-
-    def _reachable(self, root: int, backward: bool):
-        """Nodes reachable from ``root`` along unit arcs (forward slots are
-        even); ``backward`` follows arcs head-to-tail via the odd slots."""
-        seen = np.zeros(self.n, dtype=bool)
-        seen[root] = True
-        frontier = np.array([root], dtype=np.int64)
-        parity = 1 if backward else 0
-        while frontier.size:
-            pos = self._gather(frontier)
-            pos = pos[(pos & 1) == parity]
-            nxt = self._head_np[pos]
-            nxt = np.unique(nxt[~seen[nxt]])
-            if nxt.size == 0:
-                break
-            seen[nxt] = True
-            frontier = nxt
-        return seen
+        """Slots leaving the ``frontier`` nodes, node by node."""
+        starts = self._indptr_np[frontier]
+        counts = self._indptr_np[frontier + 1] - starts
+        ends = np.cumsum(counts)
+        return self._adj_np[np.arange(ends[-1])
+                            + np.repeat(starts - ends + counts, counts)]
 
     def _prune(self, s: int, t: int) -> None:
-        """Drop arcs through nodes that no source-to-sink path can use.
-        Sound once and for all: residual arcs never extend reachability
-        into regions that start out disconnected from both endpoints."""
-        alive = self._reachable(s, False) & self._reachable(t, True)
+        """Drop slots through nodes that no source-to-sink path can use.
+        Sound once and for all: flow moves only along such paths, so the
+        nodes reachable from the source, and those reaching the sink, never
+        gain members."""
+        alive = (self._levels(s) >= 0) & (self._levels(t, flip=1) >= 0)
         adj = self._adj_np
-        keep = alive[self._head_np[adj]] & alive[self._head_np[adj ^ 1]]
+        keep = alive[self._head_np[adj]] & alive[self._tail_np[adj]]
         pref = np.concatenate(([0], np.cumsum(keep)))
         self._indptr_np = pref[self._indptr_np]
         self._adj_np = adj[keep]
-        self.adj_flat = self._adj_np.tolist()
-        self.indptr = self._indptr_np.tolist()
 
-    def _levels(self, s: int, t: int):
+    def _levels(self, root: int, stop: int = -1, flip: int = 0):
+        """Breadth-first layer of every node reachable from ``root`` along
+        slots of positive residual capacity, -1 elsewhere.  ``flip=1``
+        follows the slots from head to tail; the sweep ends with the layer
+        that reaches ``stop``, if given."""
         level = np.full(self.n, -1, dtype=np.int64)
-        level[s] = 0
-        frontier = np.array([s], dtype=np.int64)
-        heads, cap = self._head_np, self._cap_np
+        level[root] = 0
+        frontier = np.array([root], dtype=np.int64)
         depth = 0
-        while frontier.size:
+        while frontier.size and (stop < 0 or level[stop] < 0):
             depth += 1
             pos = self._gather(frontier)
-            nxt = heads[pos[cap[pos] > 0]]
-            nxt = nxt[level[nxt] < 0]
-            if nxt.size == 0:
-                break
-            level[nxt] = depth
-            if level[t] == depth:
-                return level
-            frontier = np.unique(nxt)
-        return level if level[t] >= 0 else None
+            nxt = self._head_np[pos[self._cap_np[pos ^ flip] > 0]]
+            frontier = _distinct(nxt[level[nxt] < 0])
+            level[frontier] = depth
+        return level
 
     def max_flow(self, s: int, t: int) -> int:
+        if self._fwd.size >= _PRUNE_MIN_ARCS:
+            self._prune(s, t)
         total = 0
-        self._prune(s, t)
-        while True:
-            lv = self._levels(s, t)
-            if lv is None:
-                break
-            total += self._blocking_flow(s, t, lv)
+        while (level := self._levels(s, t))[t] >= 0:
+            total += self._blocking_flow(s, t, level)
         return total
 
     def _admissible_csr(self, level):
-        """Restrict the adjacency to level-graph arcs (tail reached, head one
-        layer deeper, residual capacity left), preserving per-node order."""
+        """Restrict the adjacency to level-graph slots (tail reached, head
+        one layer deeper, residual capacity left), preserving per-node
+        order."""
         adj = self._adj_np
         ltail = level[self._tail_np]
         ok = ((self._cap_np > 0) & (ltail >= 0)
@@ -324,12 +216,14 @@ class _DinicUnit:
         u = s
         while True:
             if u == t:
+                aug = min([cap[p] for p in path])
                 for p in path:
-                    cap[p] = 0
-                    cap[p ^ 1] = 1
-                total += 1
-                path.clear()
-                u = s
+                    cap[p] -= aug
+                    cap[p ^ 1] += aug
+                total += aug
+                # resume from the tail of the first saturated slot
+                del path[next(k for k, p in enumerate(path) if not cap[p]):]
+                u = head[path[-1]] if path else s
                 continue
             k = it[u]
             end = indptr[u + 1]
@@ -361,6 +255,10 @@ def max_flow_dinic(net: BoundedFlowNetwork,
 
     Repeated breadth-first level graphs with blocking flows on the residual
     network.  Returns the per-arc flows and the flow value.
+
+    Raises:
+        ValueError: a lower bound is nonzero, or a capacity (or the
+            sentinel standing in for ``INF``) does not fit in int64.
     """
     s = net.source if source is None else source
     t = net.sink if sink is None else sink
@@ -368,33 +266,12 @@ def max_flow_dinic(net: BoundedFlowNetwork,
         raise ValueError("source equals sink")
     if not (0 <= s < net.node_count and 0 <= t < net.node_count):
         raise ValueError("source/sink out of range")
-    all_unit = True
-    for a in net.arcs:
-        if a.lower != 0:
-            raise ValueError("max_flow_dinic requires all lower bounds zero")
-        if a.cap != 1:
-            all_unit = False
-
-    # The vectorized engine wins on bulk instances; below a few thousand
-    # arcs the numpy call overhead outweighs it.  Both produce identical
-    # assignments, so the dispatch is invisible.
-    if all_unit and len(net.arcs) >= 2000:
-        unit = _DinicUnit(net.node_count, net.arcs)
-        value = unit.max_flow(s, t)
-        flow = tuple(1 - unit.cap[2 * i] for i in range(len(net.arcs)))
-        return FlowAssignment(flow, value)
-
-    big = _int_sentinel(net.arcs)
-    solver = _Dinic(net.node_count)
-    caps = []
-    ids = []
-    for a in net.arcs:
-        c = big if a.cap == INF else int(a.cap)
-        ids.append(solver.add_arc(a.tail, a.head, c))
-        caps.append(c)
-    value = solver.max_flow(s, t)
-    flow = tuple(solver.flow_on(i, c) for i, c in zip(ids, caps))
-    return FlowAssignment(flow, value)
+    tail, head, lower, cap = _columns(net.arcs)
+    if any(lower):
+        raise ValueError("max_flow_dinic requires all lower bounds zero")
+    engine = _ResidualDinic(net.node_count, tail, head, cap)
+    value = engine.max_flow(s, t)
+    return FlowAssignment(tuple(engine.pushed()), value)
 
 
 def build_associate_graph(net: BoundedFlowNetwork):
@@ -479,31 +356,17 @@ def min_flow_with_bounds(net: BoundedFlowNetwork,
         raise InfeasibleFlowError("no feasible flow")
     value0 = circ.flow[return_pos]
 
-    # Residual cancellation: push sink -> source through everything except
-    # the return arc itself.
-    big = _int_sentinel(work.arcs)
-    solver = _Dinic(net.node_count)
-    ids = []
-    caps = []
-    for i, a in enumerate(work.arcs):
-        if i == return_pos:
-            ids.append(None)
-            caps.append(None)
-            continue
-        c = big if a.cap == INF else int(a.cap)
-        f = circ.flow[i]
-        ids.append(solver.add_arc(a.tail, a.head, c - f, f - a.lower))
-        caps.append(c)
-    canceled = solver.max_flow(t, s)
-
-    final = []
-    for i, a in enumerate(work.arcs):
-        if i == return_pos:
-            final.append(value0 - canceled)
-        else:
-            final.append(caps[i] - solver.cap[ids[i]])
-    flow = tuple(final[: len(net.arcs)])
-    return FlowAssignment(flow, value0 - canceled)
+    # Residual cancellation: push sink -> source from the circulation,
+    # with the return arc closed both ways.
+    tail, head, lower, cap = _columns(work.arcs)
+    fwd = [c - f for c, f in zip(cap, circ.flow)]
+    rev = [f - lo for f, lo in zip(circ.flow, lower)]
+    fwd[return_pos] = rev[return_pos] = 0
+    engine = _ResidualDinic(net.node_count, tail, head, fwd, rev)
+    canceled = engine.max_flow(t, s)
+    final = [f + d for f, d in zip(circ.flow, engine.pushed())]
+    final[return_pos] = value0 - canceled
+    return FlowAssignment(tuple(final[: len(net.arcs)]), value0 - canceled)
 
 
 def validate_assignment(net: BoundedFlowNetwork,

@@ -4,7 +4,8 @@ import pytest
 from targetflow import (DiGraph, DriverAllocation, LtiSystem,
                         NotNumericallyControllable, allocate_drivers,
                         controllability_gramian, design_input, expm,
-                        kalman_target_rank, realize_system, simulate, solve)
+                        generate_er, kalman_target_rank, realize_system,
+                        simulate, solve)
 from targetflow.certify import output_trajectory, write_trajectory_csv
 
 
@@ -84,6 +85,16 @@ class TestKalmanRank:
             alloc = allocate_drivers(solve(g, targets).cover)
             sys = realize_system(g, targets, alloc, seed=rng.randrange(10000))
             assert kalman_target_rank(sys) == len(set(targets))
+
+    def test_overflowing_krylov_blocks_raise(self):
+        # A^k B overflows long before k = 500; its NaN columns used to count
+        # toward the rank and report 4 of 4, although no driver reaches the
+        # isolated node 500
+        g = DiGraph(501, generate_er(500, 12, 0).edges)
+        sys = realize_system(g, [0, 1, 2, 500], DriverAllocation(1, ((0, 0),)),
+                             seed=0)
+        with pytest.raises(NotNumericallyControllable, match="overflow"):
+            kalman_target_rank(sys)
 
 
 class TestExpm:

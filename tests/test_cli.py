@@ -1,7 +1,8 @@
 import json
 from pathlib import Path
 
-from targetflow import PathCover, parse_edge_list, solve, verify_cover
+from targetflow import (PathCover, format_edge_list, generate_er,
+                        parse_edge_list, solve, verify_cover)
 from targetflow.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -144,6 +145,20 @@ class TestVerifyCommand:
             warnings.simplefilter("ignore")
             code, _ = run(capsys, "verify", GRAPH, TARGETS, "--tf", "500")
         assert code == 3
+
+    def test_overflowing_rank_test_exits_3(self, capsys, tmp_path):
+        # the rank test overflows; nothing may claim "controllable".  Node
+        # 500 enters the edge list through a self-loop and stays unreachable
+        # from the single driver at node 0.
+        gfile = tmp_path / "g.txt"
+        gfile.write_text(format_edge_list(generate_er(500, 12, 0))
+                         + "500 500\n")
+        tfile = tmp_path / "t.txt"
+        tfile.write_text("0\n1\n2\n500\n")
+        code, out = run(capsys, "verify", str(gfile), str(tfile),
+                        "--attach", "0", "--seed", "0")
+        assert code == 3
+        assert out == ""
 
 
 class TestSweepCommand:
