@@ -6,9 +6,9 @@ weighted realization of the structure, tests the output-restricted Kalman
 rank, and when that passes designs an explicit input from the finite-time
 controllability Gramian that steers the target outputs to the origin.
 
-Dense matrices are plain float64 ndarrays.  The exponential, quadrature,
-rank and simulation routines are implemented here; system sizes are at
-most a few hundred.
+Dense matrices are plain float64 ndarrays, at most a few hundred wide.
+One exponential e^{A h} steps the input response e^{A (t_f - t)} B across
+the quadrature grid; the Gramian and the designed input share its samples.
 """
 
 import numpy as np
@@ -51,8 +51,7 @@ class LtiSystem:
             raise ValueError("A must be square")
         if self.B.shape[0] != n or self.C.shape[1] != n:
             raise ValueError("B/C dimensions do not match A")
-        if not (np.isfinite(self.A).all() and np.isfinite(self.B).all()
-                and np.isfinite(self.C).all()):
+        if not all(np.isfinite(x).all() for x in (self.A, self.B, self.C)):
             raise ValueError("matrix entries must be finite")
 
 
@@ -78,8 +77,7 @@ def realize_system(g: DiGraph, targets, alloc: DriverAllocation,
     if any(v < 0 or v >= n for v in members):
         raise ValueError("target out of range")
     C = np.zeros((len(members), n))
-    for k, v in enumerate(members):
-        C[k, v] = 1.0
+    C[range(len(members)), members] = 1.0
     return LtiSystem(A, B, C, members)
 
 
@@ -95,9 +93,7 @@ def expm(m: np.ndarray) -> np.ndarray:
         nrm /= 2.0
         s += 1
     ms = m / (2 ** s)
-    n = m.shape[0]
-    acc = np.eye(n)
-    term = np.eye(n)
+    acc = term = np.eye(m.shape[0])
     for k in range(1, 64):
         term = term @ ms / k
         acc = acc + term
@@ -120,11 +116,10 @@ def kalman_target_rank(sys: LtiSystem) -> int:
         NotNumericallyControllable: some A^k B overflows, so its columns
             (inf or NaN) would count toward the rank unchecked.
     """
-    n = sys.A.shape[0]
     blocks = []
     x = sys.B
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n):
+        for k in range(sys.A.shape[0]):
             if not np.isfinite(x).all():
                 raise NotNumericallyControllable(
                     f"Krylov block A^{k} B overflows float64")
@@ -148,8 +143,7 @@ def _numeric_rank(m: np.ndarray, rtol: float) -> int:
         p = rank + int(np.argmax(np.abs(m[rank:, j])))
         if col_scale[j] == 0.0 or abs(m[p, j]) <= rtol * col_scale[j]:
             continue
-        if p != rank:
-            m[[rank, p]] = m[[p, rank]]
+        m[[rank, p]] = m[[p, rank]]
         factors = m[rank + 1:, j] / m[rank, j]
         m[rank + 1:, j:] -= np.outer(factors, m[rank, j:])
         rank += 1
@@ -161,21 +155,33 @@ def controllability_gramian(sys: LtiSystem, t_f: float,
     """Finite-horizon Gramian: the integral over [0, t_f] of
     e^{A (t_f - t)} B B^T e^{A^T (t_f - t)}, by composite Simpson
     quadrature with ``steps`` panels (even, at least 2)."""
+    return _gramian(sys, t_f, steps)[0]
+
+
+def _gramian(sys, t_f, steps):
+    """The Gramian and the step e^{A h} whose powers gave its samples."""
     if t_f <= 0:
         raise ValueError("t_f must be positive")
     if steps < 2 or steps % 2:
         raise ValueError("steps must be even and at least 2")
     h = t_f / steps
-    n = sys.A.shape[0]
-    w = np.zeros((n, n))
-    for k in range(steps + 1):
-        phi_b = expm(sys.A * (t_f - k * h)) @ sys.B
+    step = expm(sys.A * h)
+    w = np.zeros((sys.A.shape[0],) * 2)
+    for k, phi_b in _input_response(sys.B, step, steps):
         weight = 1.0 if k in (0, steps) else (4.0 if k % 2 else 2.0)
         w += weight * (phi_b @ phi_b.T)
     w *= h / 3.0
     if not np.isfinite(w).all():
         raise FloatingPointError("non-finite Gramian")
-    return w
+    return w, step
+
+
+def _input_response(phi_b, step, steps):
+    """Yield (k, e^{A (t_f - k h)} B), k = steps, ..., 0, from phi_b = B."""
+    for k in range(steps, 0, -1):
+        yield k, phi_b
+        phi_b = step @ phi_b
+    yield 0, phi_b
 
 
 def _solve_conditioned(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -184,18 +190,16 @@ def _solve_conditioned(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     m = np.array(mat, dtype=float)
     b = np.array(rhs, dtype=float)
     k = m.shape[0]
-    pivots = np.empty(k)
     for j in range(k):
         p = j + int(np.argmax(np.abs(m[j:, j])))
         if m[p, j] == 0.0:
             raise NotNumericallyControllable("not numerically target controllable")
-        if p != j:
-            m[[j, p]] = m[[p, j]]
-            b[[j, p]] = b[[p, j]]
-        pivots[j] = abs(m[j, j])
+        m[[j, p]] = m[[p, j]]
+        b[[j, p]] = b[[p, j]]
         factors = m[j + 1:, j] / m[j, j]
         m[j + 1:, j:] -= np.outer(factors, m[j, j:])
         b[j + 1:] -= np.outer(factors, b[j]) if b.ndim > 1 else factors * b[j]
+    pivots = np.abs(np.diag(m))
     if pivots.max() / pivots.min() >= CONDITION_LIMIT:
         raise NotNumericallyControllable("not numerically target controllable")
     x = np.zeros_like(b)
@@ -210,21 +214,17 @@ def design_input(sys: LtiSystem, x0, t_f: float,
 
     Samples u(t) = -B^T e^{A^T (t_f - t)} C^T [C W C^T]^{-1} C e^{A t_f} x0
     on the uniform quadrature grid (``steps + 1`` samples including both
-    endpoints), with W the Gramian over the same grid.
+    endpoints), with W summed from the same samples of e^{A (t_f - t)} B.
 
     Raises:
         NotNumericallyControllable: C W C^T too ill-conditioned.
     """
-    x0 = np.asarray(x0, dtype=float)
-    w = controllability_gramian(sys, t_f, steps)
-    gram_out = sys.C @ w @ sys.C.T
-    eta = sys.C.T @ _solve_conditioned(gram_out,
+    w, step = _gramian(sys, t_f, steps)
+    eta = sys.C.T @ _solve_conditioned(sys.C @ w @ sys.C.T,
                                        sys.C @ expm(sys.A * t_f) @ x0)
-    h = t_f / steps
     u = np.empty((steps + 1, sys.B.shape[1]))
-    bt = sys.B.T
-    for k in range(steps + 1):
-        u[k] = -bt @ (expm(sys.A * (t_f - k * h)).T @ eta)
+    for k, phi_b in _input_response(sys.B, step, steps):
+        u[k] = -(phi_b.T @ eta)
     return u
 
 

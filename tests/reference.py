@@ -1,10 +1,16 @@
 """Independent reference implementations used as oracles.
 
 Everything here is deliberately naive (shortest augmenting paths, subset
-enumeration) and shares no code with the library's solvers.
+enumeration, one matrix exponential per quadrature sample) and shares no
+code with the library's solvers; the certification references borrow only
+the library's ``expm``.
 """
 
 from collections import defaultdict, deque
+
+import numpy as np
+
+from targetflow.certify import expm
 
 
 def edmonds_karp_value(node_count, arcs, s, t):
@@ -186,3 +192,24 @@ def brute_max_matching_size(g):
         if ok and size > best:
             best = size
     return best
+
+
+def per_sample_gramian(sys, t_f, steps):
+    """Controllability Gramian by composite Simpson quadrature, with a fresh
+    exponential e^{A (t_f - k h)} for every sample k = 0, ..., steps."""
+    h = t_f / steps
+    n = sys.A.shape[0]
+    w = np.zeros((n, n))
+    for k in range(steps + 1):
+        phi_b = expm(sys.A * (t_f - k * h)) @ sys.B
+        weight = 1.0 if k in (0, steps) else (4.0 if k % 2 else 2.0)
+        w += weight * (phi_b @ phi_b.T)
+    return w * (h / 3.0)
+
+
+def per_sample_input(sys, eta, t_f, steps):
+    """Input samples -B^T e^{A^T (t_f - k h)} eta for k = 0, ..., steps, with
+    a fresh exponential for every sample."""
+    h = t_f / steps
+    return np.array([-sys.B.T @ (expm(sys.A * (t_f - k * h)).T @ eta)
+                     for k in range(steps + 1)])

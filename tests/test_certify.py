@@ -1,12 +1,19 @@
+import json
+import random
+
 import numpy as np
 import pytest
 
+from conftest import random_graph, random_targets
+from reference import per_sample_gramian, per_sample_input
 from targetflow import (DiGraph, DriverAllocation, LtiSystem,
-                        NotNumericallyControllable, allocate_drivers,
+                        NotNumericallyControllable, allocate_drivers, certify,
                         controllability_gramian, design_input, expm,
-                        generate_er, kalman_target_rank, realize_system,
-                        simulate, solve)
-from targetflow.certify import output_trajectory, write_trajectory_csv
+                        format_edge_list, generate_er, kalman_target_rank,
+                        realize_system, simulate, solve)
+from targetflow.certify import (_solve_conditioned, output_trajectory,
+                                write_trajectory_csv)
+from targetflow.cli import main
 
 
 @pytest.fixture
@@ -146,6 +153,24 @@ class TestGramian:
             controllability_gramian(sys, 1.0, 11)
 
 
+def _seed_314_systems(count):
+    """The first ``count`` rank-full systems drawn from the seed-314 random
+    graphs and targets, each with a unit-norm initial state."""
+    rng = random.Random(314)
+    np_rng = np.random.default_rng(314)
+    found = []
+    while len(found) < count:
+        g = random_graph(rng, 12, 22)
+        targets = random_targets(rng, g.n)
+        alloc = allocate_drivers(solve(g, targets).cover)
+        sys = realize_system(g, targets, alloc, seed=len(found))
+        if kalman_target_rank(sys) != len(set(targets)):
+            continue
+        x0 = np_rng.normal(size=g.n)
+        found.append((sys, x0 / np.linalg.norm(x0)))
+    return found
+
+
 class TestDesignAndSimulate:
     def test_zero_start_means_zero_input(self, canonical_system):
         g, targets, alloc = canonical_system
@@ -198,28 +223,10 @@ class TestDesignAndSimulate:
         assert np.linalg.norm(y1 - y2) < 1e-6
 
     def test_random_fixtures_steered_to_tolerance(self):
-        import random
-
-        from conftest import random_graph, random_targets
-        rng = random.Random(314)
-        np_rng = np.random.default_rng(314)
-        checked = 0
-        while checked < 5:
-            g = random_graph(rng, 12, 22)
-            targets = random_targets(rng, g.n)
-            alloc = allocate_drivers(solve(g, targets).cover)
-            sys = realize_system(g, targets, alloc, seed=checked)
-            if kalman_target_rank(sys) != len(set(targets)):
-                continue
-            x0 = np_rng.normal(size=g.n)
-            x0 /= np.linalg.norm(x0)
-            try:
-                u = design_input(sys, x0, 2.0, 2000)
-            except NotNumericallyControllable:
-                continue
+        for sys, x0 in _seed_314_systems(5):
+            u = design_input(sys, x0, 2.0, 2000)
             _, y = simulate(sys, u, x0, 2.0, 1000)
             assert np.linalg.norm(y) <= 1e-3
-            checked += 1
 
     def test_uncontrollable_gramian_rejected(self):
         # driver attached to a node that feeds nothing
@@ -239,3 +246,83 @@ class TestDesignAndSimulate:
         lines = out.read_text().splitlines()
         assert lines[0] == "t,y_1,y_2,y_3,y_4"
         assert len(lines) == 12
+
+
+@pytest.fixture
+def reference_cases(canonical_system):
+    """(system, x0, t_f, steps): canonical realizations over five seeds and
+    the seed-314 random fixtures, on grids short enough for the per-sample
+    references."""
+    g, targets, alloc = canonical_system
+    rng = np.random.default_rng(8)
+    cases = [(realize_system(g, targets, alloc, seed=s), rng.normal(size=9),
+              3.0, 400) for s in range(5)]
+    return cases + [(sys, x0, 2.0, 200) for sys, x0 in _seed_314_systems(5)]
+
+
+class TestSteppedInputResponse:
+    """The Gramian and the input reach every sample e^{A (t_f - k h)} B by
+    powers of one e^{A h}; the references take a fresh exponential per
+    sample."""
+
+    def test_gramian_matches_per_sample_reference(self, reference_cases):
+        for sys, _, t_f, steps in reference_cases:
+            w = controllability_gramian(sys, t_f, steps)
+            ref = per_sample_gramian(sys, t_f, steps)
+            assert np.abs(w - ref).max() <= 1e-9 * np.abs(ref).max()
+
+    def test_input_matches_per_sample_reference(self, reference_cases):
+        # eta comes from the library's own Gramian: C W C^T has condition
+        # numbers up to 2e10 here, which would turn the 1e-14 difference
+        # between the two Gramians into a 1e-6 difference between the
+        # inputs that says nothing about the input samples
+        for sys, x0, t_f, steps in reference_cases:
+            w = controllability_gramian(sys, t_f, steps)
+            eta = sys.C.T @ _solve_conditioned(sys.C @ w @ sys.C.T,
+                                               sys.C @ expm(sys.A * t_f) @ x0)
+            u = design_input(sys, x0, t_f, steps)
+            ref = per_sample_input(sys, eta, t_f, steps)
+            assert np.abs(u - ref).max() <= 1e-9 * np.abs(ref).max()
+
+    def test_design_input_takes_at_most_two_exponentials(
+            self, canonical_system, monkeypatch):
+        g, targets, alloc = canonical_system
+        sys = realize_system(g, targets, alloc, seed=12345)
+        calls = []
+
+        def counting_expm(m):
+            calls.append(m.shape)
+            return expm(m)
+
+        monkeypatch.setattr(certify, "expm", counting_expm)
+        design_input(sys, np.ones(9) / 3.0, 3.0)
+        assert len(calls) <= 2
+
+
+@pytest.mark.parametrize(
+    "graph_seed, target_seed, program_seed, per_sample_y_norm", [
+    (277987678, 2644383469, 3868514311, 0.01522),  # verify-er80 seed 206, #0
+    (4204691433, 3521530477, 422947454, 0.02652),  # verify-er80 seed 220, #1
+])
+def test_verify_er80_accuracy_not_worse(tmp_path, capsys, graph_seed,
+                                        target_seed, program_seed,
+                                        per_sample_y_norm):
+    # Two 80-node instances whose certificate misses the 1e-3 output gate
+    # (rank is full; the designed input is not accurate enough).  They still
+    # miss it; this pins the error at or below what per-sample exponentials
+    # gave (0.015211 and 0.026516, rounded up).  Built as the verify-er80
+    # benchmark builds them: targets are 20% of the labels that occur in
+    # the edge list, and the CLI relabels the nodes when it parses it.
+    g = generate_er(80, 3, graph_seed)
+    labels = sorted({v for e in g.edges for v in e})
+    targets = sorted(random.Random(target_seed).sample(
+        labels, max(1, round(0.2 * len(labels)))))
+    graph, target_file = tmp_path / "graph.txt", tmp_path / "targets.txt"
+    graph.write_text(format_edge_list(g))
+    target_file.write_text("".join(f"{v}\n" for v in targets))
+    code = main(["verify", str(graph), str(target_file), "--tf", "3",
+                 "--seed", str(program_seed)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["controllable"]
+    assert report["y_norm"] <= per_sample_y_norm
