@@ -3,8 +3,8 @@
 # The combinatorial answer says one driver suffices for the 9-node
 # instance.  Here we check that claim on an actual weighted system: draw
 # random edge weights, test the output-restricted Kalman rank, then design
-# an input from the controllability Gramian and watch the target outputs
-# land on the origin at t_f = 3.
+# an input for the exact response of the sampled signal and watch the
+# target outputs land on the origin at t_f = 3.
 
 import numpy as np
 
@@ -31,7 +31,8 @@ print("Gramian symmetric to", np.abs(W - W.T).max())
 
 # Steer a random unit-norm initial state: the designed input drives the
 # four target outputs to zero at t_f while the rest of the network does
-# whatever it does.
+# whatever it does.  The input is linear between its samples, and
+# simulate steps that signal exactly.
 rng = np.random.default_rng(99)
 x0 = rng.normal(size=9)
 x0 /= np.linalg.norm(x0)

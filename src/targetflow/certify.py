@@ -3,12 +3,14 @@
 Once the combinatorial layer has placed control sources, this module
 checks that the placement actually controls the chosen outputs: it draws a
 weighted realization of the structure, tests the output-restricted Kalman
-rank, and when that passes designs an explicit input from the finite-time
-controllability Gramian that steers the target outputs to the origin.
+rank, and when that passes designs an explicit input that steers the
+target outputs to the origin.
 
 Dense matrices are plain float64 ndarrays, at most a few hundred wide.
-One exponential e^{A h} steps the input response e^{A (t_f - t)} B across
-the quadrature grid; the Gramian and the designed input share its samples.
+An input is a set of samples on a uniform grid, linear between samples
+(first-order hold).  ``design_input`` and ``simulate`` both step such an
+input exactly, by one block exponential, so no quadrature or integrator
+error sits between the design and its check.
 """
 
 import numpy as np
@@ -19,16 +21,15 @@ from .graph import DiGraph
 RANK_RTOL = 1e-9
 CONDITION_LIMIT = 1e12
 GRAMIAN_STEPS = 2000
-SIM_STEPS = 4000
-# Sampling the input twice as densely as the integrator steps puts every
-# Runge-Kutta half-step on a sample, so no interpolation error enters.
-DESIGN_STEPS = 2 * SIM_STEPS
+# The design is exact at any step count; this sets the input's resolution
+# and the rows of the simulated trajectory.
+DESIGN_STEPS = 500
 
 
 class NotNumericallyControllable(RuntimeError):
     """The allocation cannot be certified numerically: the Krylov blocks of
-    the rank test leave the float64 range, or the Gramian restricted to the
-    outputs is too ill-conditioned to invert."""
+    the rank test leave the float64 range, or the map from input samples to
+    the outputs is too ill-conditioned to invert."""
 
 
 class LtiSystem:
@@ -155,84 +156,93 @@ def controllability_gramian(sys: LtiSystem, t_f: float,
     """Finite-horizon Gramian: the integral over [0, t_f] of
     e^{A (t_f - t)} B B^T e^{A^T (t_f - t)}, by composite Simpson
     quadrature with ``steps`` panels (even, at least 2)."""
-    return _gramian(sys, t_f, steps)[0]
-
-
-def _gramian(sys, t_f, steps):
-    """The Gramian and the step e^{A h} whose powers gave its samples."""
     if t_f <= 0:
         raise ValueError("t_f must be positive")
     if steps < 2 or steps % 2:
         raise ValueError("steps must be even and at least 2")
     h = t_f / steps
     step = expm(sys.A * h)
+    phi_b = sys.B
     w = np.zeros((sys.A.shape[0],) * 2)
-    for k, phi_b in _input_response(sys.B, step, steps):
+    for k in range(steps, -1, -1):
         weight = 1.0 if k in (0, steps) else (4.0 if k % 2 else 2.0)
         w += weight * (phi_b @ phi_b.T)
+        phi_b = step @ phi_b
     w *= h / 3.0
     if not np.isfinite(w).all():
         raise FloatingPointError("non-finite Gramian")
-    return w, step
+    return w
 
 
-def _input_response(phi_b, step, steps):
-    """Yield (k, e^{A (t_f - k h)} B), k = steps, ..., 0, from phi_b = B."""
-    for k in range(steps, 0, -1):
-        yield k, phi_b
-        phi_b = step @ phi_b
-    yield 0, phi_b
-
-
-def _solve_conditioned(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve mat @ x = rhs by elimination with partial pivoting, rejecting
-    systems whose pivot spread indicates a condition number beyond 1e12."""
-    m = np.array(mat, dtype=float)
-    b = np.array(rhs, dtype=float)
-    k = m.shape[0]
-    for j in range(k):
-        p = j + int(np.argmax(np.abs(m[j:, j])))
-        if m[p, j] == 0.0:
-            raise NotNumericallyControllable("not numerically target controllable")
-        m[[j, p]] = m[[p, j]]
-        b[[j, p]] = b[[p, j]]
-        factors = m[j + 1:, j] / m[j, j]
-        m[j + 1:, j:] -= np.outer(factors, m[j, j:])
-        b[j + 1:] -= np.outer(factors, b[j]) if b.ndim > 1 else factors * b[j]
-    pivots = np.abs(np.diag(m))
-    if pivots.max() / pivots.min() >= CONDITION_LIMIT:
-        raise NotNumericallyControllable("not numerically target controllable")
-    x = np.zeros_like(b)
-    for j in range(k - 1, -1, -1):
-        x[j] = (b[j] - m[j, j + 1:] @ x[j + 1:]) / m[j, j]
-    return x
+def _foh(sys, t_f, steps):
+    """Exact step over h = t_f / steps for an input linear between samples
+    (first-order hold): x_{k+1} = phi x_k + g0 u_k + g1 u_{k+1}, read off
+    one block exponential of h [[A, B, 0], [0, 0, I], [0, 0, 0]].  That
+    block has norm of order h, so expm needs no squaring at small h."""
+    if t_f <= 0:
+        raise ValueError("t_f must be positive")
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
+    h = t_f / steps
+    n, m = sys.B.shape
+    block = np.zeros((n + 2 * m,) * 2)
+    block[:n, :n] = sys.A
+    block[:n, n:n + m] = sys.B
+    block[n:n + m, n + m:] = np.eye(m)
+    e = expm(block * h)
+    g1 = e[:n, n + m:] / h
+    return e[:n, :n], e[:n, n:n + m] - g1, g1
 
 
 def design_input(sys: LtiSystem, x0, t_f: float,
                  steps: int = DESIGN_STEPS) -> np.ndarray:
     """Open-loop input steering the target outputs to the origin at t_f.
 
-    Samples u(t) = -B^T e^{A^T (t_f - t)} C^T [C W C^T]^{-1} C e^{A t_f} x0
-    on the uniform quadrature grid (``steps + 1`` samples including both
-    endpoints), with W summed from the same samples of e^{A (t_f - t)} B.
+    Returns ``steps + 1`` samples on the uniform grid over [0, t_f], both
+    endpoints included, of an input linear between samples.  They are the
+    least-norm samples, with the two end samples weighted by one half
+    (trapezoid), that zero C x(t_f) in the exact response to that input;
+    a QR factorization of the map from samples to outputs gives them.
 
     Raises:
-        NotNumericallyControllable: C W C^T too ill-conditioned.
+        NotNumericallyControllable: the map from samples to outputs has a
+            condition number beyond CONDITION_LIMIT.
+        FloatingPointError: that map leaves the float64 range.
     """
-    w, step = _gramian(sys, t_f, steps)
-    eta = sys.C.T @ _solve_conditioned(sys.C @ w @ sys.C.T,
-                                       sys.C @ expm(sys.A * t_f) @ x0)
-    u = np.empty((steps + 1, sys.B.shape[1]))
-    for k, phi_b in _input_response(sys.B, step, steps):
-        u[k] = -(phi_b.T @ eta)
+    phi, g0, g1 = _foh(sys, t_f, steps)
+    k, m = sys.C.shape[0], sys.B.shape[1]
+    # x(t_f) = phi^steps x0 + sum_j M_j u_j, where M_steps = g1,
+    # M_j = phi^(steps-1-j) (g0 + phi g1) for 0 < j < steps and
+    # M_0 = phi^(steps-1) g0; stack the transposes of H_j = C M_j.
+    ht = np.empty((steps + 1, m, k))
+    ht[steps] = (sys.C @ g1).T
+    pair = np.hstack([g0 + phi @ g1, g0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(steps - 1, 0, -1):
+            ht[j] = (sys.C @ pair[:, :m]).T
+            pair = phi @ pair
+        ht[0] = (sys.C @ pair[:, m:]).T
+        y_free = sys.C @ np.linalg.matrix_power(phi, steps) @ x0
+    if not (np.isfinite(ht).all() and np.isfinite(y_free).all()):
+        raise FloatingPointError("map from input samples to outputs overflows")
+    # u = v / sqrt(w) for the v of least plain norm: the weight w = 1/2 of
+    # the end samples puts them at the height of their neighbours
+    ends = [0, steps]
+    ht[ends] *= np.sqrt(2.0)
+    q, r = np.linalg.qr(ht.reshape(-1, k))
+    if not np.linalg.cond(r) <= CONDITION_LIMIT:
+        raise NotNumericallyControllable("not numerically target controllable")
+    u = (-q @ np.linalg.solve(r.T, y_free)).reshape(steps + 1, m)
+    u[ends] *= np.sqrt(2.0)
     return u
 
 
 def simulate(sys: LtiSystem, u: np.ndarray, x0, t_f: float,
-             steps: int = SIM_STEPS):
-    """Integrate dx/dt = A x + B u(t) by fixed-step fourth-order
-    Runge-Kutta, interpolating ``u`` linearly between its samples (which
-    are assumed uniform on [0, t_f]).
+             steps: int = DESIGN_STEPS):
+    """Exact response of dx/dt = A x + B u(t) on a uniform grid of ``steps``
+    intervals.  ``u`` holds samples uniform on [0, t_f]; the input is taken
+    linear between the values it has at the grid points, which is exact
+    whenever the grid refines the sample grid.
 
     Returns ``(states, y_final)``: the (steps + 1, n) state trajectory and
     C x(t_f).
@@ -240,38 +250,27 @@ def simulate(sys: LtiSystem, u: np.ndarray, x0, t_f: float,
     Raises:
         FloatingPointError: the state leaves the representable range.
     """
-    if t_f <= 0:
-        raise ValueError("t_f must be positive")
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
+    phi, g0, g1 = _foh(sys, t_f, steps)
     u = np.asarray(u, dtype=float)
     if u.ndim == 1:  # samples of a single input
         u = u[:, np.newaxis]
-    x = np.asarray(x0, dtype=float).copy()
-    a, b, c = sys.A, sys.B, sys.C
-    h = t_f / steps
-    m = u.shape[0] - 1
-
-    def u_at(tau):
-        pos = tau / t_f * m
-        i = min(int(pos), m - 1) if m > 0 else 0
-        frac = pos - i
-        return u[i] * (1.0 - frac) + u[i + 1] * frac if m > 0 else u[0]
-
+    grid = np.linspace(0.0, u.shape[0] - 1, steps + 1)
+    u_grid = np.column_stack([np.interp(grid, np.arange(u.shape[0]), col)
+                              for col in u.T])
+    drive = u_grid[:-1] @ g0.T + u_grid[1:] @ g1.T
+    # phi is close to I: adding the increment (phi - I) x rounds once at
+    # the scale of x per step, where phi @ x rounds once per term
+    increment = phi - np.eye(phi.shape[0])
+    x = np.asarray(x0, dtype=float)
     states = np.empty((steps + 1, x.size))
     states[0] = x
     for k in range(steps):
-        t = k * h
-        u0, um, u1 = u_at(t), u_at(t + h / 2), u_at(t + h)
-        k1 = a @ x + b @ u0
-        k2 = a @ (x + h / 2 * k1) + b @ um
-        k3 = a @ (x + h / 2 * k2) + b @ um
-        k4 = a @ (x + h * k3) + b @ u1
-        x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        x = x + (increment @ x + drive[k])
         if not np.isfinite(x).all():
-            raise FloatingPointError(f"state diverged at t={t + h:.6g}")
+            raise FloatingPointError(
+                f"state diverged at t={(k + 1) * t_f / steps:.6g}")
         states[k + 1] = x
-    return states, c @ x
+    return states, sys.C @ x
 
 
 def output_trajectory(sys: LtiSystem, states: np.ndarray) -> np.ndarray:

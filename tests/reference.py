@@ -1,9 +1,9 @@
 """Independent reference implementations used as oracles.
 
 Everything here is deliberately naive (shortest augmenting paths, subset
-enumeration, one matrix exponential per quadrature sample) and shares no
-code with the library's solvers; the certification references borrow only
-the library's ``expm``.
+enumeration, one matrix exponential per quadrature sample, Runge-Kutta
+integration) and shares no code with the library's solvers; the Gramian
+reference borrows only the library's ``expm``.
 """
 
 from collections import defaultdict, deque
@@ -207,9 +207,28 @@ def per_sample_gramian(sys, t_f, steps):
     return w * (h / 3.0)
 
 
-def per_sample_input(sys, eta, t_f, steps):
-    """Input samples -B^T e^{A^T (t_f - k h)} eta for k = 0, ..., steps, with
-    a fresh exponential for every sample."""
+def rk4_response(sys, u, x0, t_f, steps):
+    """Final state of dx/dt = A x + B u(t) by fixed-step fourth-order
+    Runge-Kutta, with ``u`` (samples uniform on [0, t_f], rows per sample)
+    interpolated linearly at every stage time."""
+    u = np.asarray(u, dtype=float)
+    x = np.asarray(x0, dtype=float).copy()
+    a, b = sys.A, sys.B
     h = t_f / steps
-    return np.array([-sys.B.T @ (expm(sys.A * (t_f - k * h)).T @ eta)
-                     for k in range(steps + 1)])
+    m = u.shape[0] - 1
+
+    def u_at(tau):
+        pos = tau / t_f * m
+        i = min(int(pos), m - 1)
+        frac = pos - i
+        return u[i] * (1.0 - frac) + u[i + 1] * frac
+
+    for k in range(steps):
+        t = k * h
+        u0, um, u1 = u_at(t), u_at(t + h / 2), u_at(t + h)
+        k1 = a @ x + b @ u0
+        k2 = a @ (x + h / 2 * k1) + b @ um
+        k3 = a @ (x + h / 2 * k2) + b @ um
+        k4 = a @ (x + h * k3) + b @ u1
+        x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return x
