@@ -24,10 +24,6 @@ import numpy as np
 
 INF = math.inf
 
-# The one-time pruning sweeps are worth their numpy overhead only on bulk
-# networks; smaller ones skip them.  Pruning never changes the assignment.
-_PRUNE_MIN_ARCS = 2000
-
 
 class InfeasibleFlowError(RuntimeError):
     """No flow satisfies the lower/upper bounds of the network."""
@@ -119,6 +115,13 @@ class _ResidualDinic:
     sweeps run as vectorized gathers, the blocking-flow DFS walks flat
     Python sequences.  ``fwd``/``rev`` give each arc's initial residual
     capacity both ways, which lets a search start from a nonzero flow.
+
+    Each phase hands the DFS only the slots that lie on a shortest
+    source-to-sink path, found by a level sweep from each end.  Every other
+    level-graph slot leads only to nodes that cannot reach the sink in the
+    phase; a DFS over all of them would enter those nodes, find them dead
+    and back out without touching a residual.  So the filter finds the
+    same augmenting paths in the same order, and the same assignment.
     """
 
     def __init__(self, n: int, tail, head, fwd, rev=None):
@@ -156,28 +159,16 @@ class _ResidualDinic:
         return self._adj_np[np.arange(ends[-1])
                             + np.repeat(starts - ends + counts, counts)]
 
-    def _prune(self, s: int, t: int) -> None:
-        """Drop slots through nodes that no source-to-sink path can use.
-        Sound once and for all: flow moves only along such paths, so the
-        nodes reachable from the source, and those reaching the sink, never
-        gain members."""
-        alive = (self._levels(s) >= 0) & (self._levels(t, flip=1) >= 0)
-        adj = self._adj_np
-        keep = alive[self._head_np[adj]] & alive[self._tail_np[adj]]
-        pref = np.concatenate(([0], np.cumsum(keep)))
-        self._indptr_np = pref[self._indptr_np]
-        self._adj_np = adj[keep]
-
-    def _levels(self, root: int, stop: int = -1, flip: int = 0):
+    def _levels(self, root: int, stop: int, flip: int = 0):
         """Breadth-first layer of every node reachable from ``root`` along
         slots of positive residual capacity, -1 elsewhere.  ``flip=1``
         follows the slots from head to tail; the sweep ends with the layer
-        that reaches ``stop``, if given."""
+        that reaches ``stop``."""
         level = np.full(self.n, -1, dtype=np.int64)
         level[root] = 0
         frontier = np.array([root], dtype=np.int64)
         depth = 0
-        while frontier.size and (stop < 0 or level[stop] < 0):
+        while frontier.size and level[stop] < 0:
             depth += 1
             pos = self._gather(frontier)
             nxt = self._head_np[pos[self._cap_np[pos ^ flip] > 0]]
@@ -186,29 +177,31 @@ class _ResidualDinic:
         return level
 
     def max_flow(self, s: int, t: int) -> int:
-        if self._fwd.size >= _PRUNE_MIN_ARCS:
-            self._prune(s, t)
         total = 0
-        while (level := self._levels(s, t))[t] >= 0:
-            total += self._blocking_flow(s, t, level)
+        while (ds := self._levels(s, t))[t] >= 0:
+            total += self._blocking_flow(s, t, ds)
         return total
 
-    def _admissible_csr(self, level):
-        """Restrict the adjacency to level-graph slots (tail reached, head
-        one layer deeper, residual capacity left), preserving per-node
-        order."""
-        adj = self._adj_np
-        ltail = level[self._tail_np]
-        ok = ((self._cap_np > 0) & (ltail >= 0)
-              & (level[self._head_np] == ltail + 1))
-        keep = ok[adj]
-        pref = np.concatenate(([0], np.cumsum(keep)))
-        indptr = pref[self._indptr_np]
-        return adj[keep].tolist(), indptr.tolist()
+    def _phase_csr(self, s: int, t: int, ds):
+        """Slots on a shortest source-to-sink path of positive residual
+        capacity, as a CSR in per-node slot order.  ``ds`` is the sweep
+        from the source, ``dt`` the backward one from the sink.  The path
+        nodes with a step left are those with ``ds + dt == ds[t]`` and
+        ``dt > 0``; slot u->v of such a node is on a path iff
+        ``dt[v] == dt[u] - 1``."""
+        dt = self._levels(t, s, flip=1)
+        nodes = np.flatnonzero((ds >= 0) & (dt > 0) & (ds + dt == ds[t]))
+        pos = self._gather(nodes)
+        tails = self._tail_np[pos]
+        keep = ((self._cap_np[pos] > 0)
+                & (dt[self._head_np[pos]] == dt[tails] - 1))
+        indptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(tails[keep], minlength=self.n))))
+        return pos[keep].tolist(), indptr.tolist()
 
-    def _blocking_flow(self, s: int, t: int, level) -> int:
+    def _blocking_flow(self, s: int, t: int, ds) -> int:
         cap, head = self.cap, self.head
-        flat, indptr = self._admissible_csr(level)
+        flat, indptr = self._phase_csr(s, t, ds)
         it = indptr[:-1]
         dead = bytearray(self.n)
         path: list[int] = []

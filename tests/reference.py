@@ -1,9 +1,10 @@
 """Independent reference implementations used as oracles.
 
-Everything here is deliberately naive (shortest augmenting paths, subset
-enumeration, one matrix exponential per quadrature sample, Runge-Kutta
-integration) and shares no code with the library's solvers; the Gramian
-reference borrows only the library's ``expm``.
+Everything here is deliberately naive (shortest augmenting paths, plain
+breadth-first distances, subset enumeration, one matrix exponential per
+quadrature sample, Runge-Kutta integration) and shares no code with the
+library's solvers; the Gramian reference borrows only the library's
+``expm``.
 """
 
 from collections import defaultdict, deque
@@ -48,6 +49,42 @@ def edmonds_karp_value(node_count, arcs, s, t):
             residual[v][u] += bottleneck
             v = u
         value += bottleneck
+
+
+def shortest_path_slots(slots, s, t):
+    """Residual slots on a shortest ``s``-``t`` path, as (tail, index)
+    pairs sorted by tail node, then by index.
+
+    ``slots`` are (tail, head, residual) triples; only slots of positive
+    residual count.  Two plain BFS passes give each node's distance from
+    ``s`` and to ``t``; slot u->v qualifies iff
+    dist(s, u) + 1 + dist(v, t) == dist(s, t).
+    """
+    out = defaultdict(list)
+    into = defaultdict(list)
+    for tail, head, residual in slots:
+        if residual > 0:
+            out[tail].append(head)
+            into[head].append(tail)
+
+    def distances(root, nbrs):
+        dist = {root: 0}
+        q = deque([root])
+        while q:
+            u = q.popleft()
+            for v in nbrs[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    q.append(v)
+        return dist
+
+    ds = distances(s, out)
+    dt = distances(t, into)
+    if t not in ds:
+        return []
+    return sorted((tail, i) for i, (tail, head, residual) in enumerate(slots)
+                  if residual > 0 and tail in ds and head in dt
+                  and ds[tail] + 1 + dt[head] == ds[t])
 
 
 def sample_feasible_flow_value(node_count, arcs, s, t, rng):

@@ -10,10 +10,12 @@ from targetflow import (INF, Arc, BoundedFlowNetwork, InfeasibleFlowError,
                         build_target_network, feasible_circulation,
                         generate_er, generate_sf, max_flow_dinic,
                         min_flow_with_bounds, validate_assignment)
+from targetflow.flow import _columns, _ResidualDinic
 
 from conftest import random_graph, random_targets
 from reference import (brute_circulation_exists, brute_min_flow_value,
-                       edmonds_karp_value, sample_feasible_flow_value)
+                       edmonds_karp_value, sample_feasible_flow_value,
+                       shortest_path_slots)
 
 
 def random_network(rng, max_n=12, max_cap=3, with_lowers=False):
@@ -104,7 +106,7 @@ class TestMaxFlow:
         assert max_flow_dinic(net).value == 2
 
     def test_golden_unit_assignments_midsize(self):
-        # above the pruning threshold
+        # one 2700-arc network, far larger than the random ones above
         assert _digest(*_golden_case("unit_midsize")) == GOLDEN["unit_midsize"]
 
 
@@ -411,6 +413,54 @@ def test_golden_assignments(name):
     assert _digest(*_golden_case(name)) == GOLDEN[name]
 
 
+def _dead_end_instance(size, seed):
+    """A four-arc source-to-sink path beside a region of ``size`` nodes
+    that the source enters directly.  The region's only way out is a
+    ten-arc detour to the sink, so no region node lies on a shortest
+    path."""
+    rng = random.Random(seed)
+    region = range(4, 4 + size)
+    detour = range(4 + size, 14 + size)
+    t = 14 + size
+    arcs = [Arc(0, 1), Arc(1, 2), Arc(2, 3), Arc(3, t)]
+    arcs += [Arc(0, v) for v in region[:10]]
+    for v in region:
+        arcs += [Arc(v, rng.choice(region)), Arc(v, rng.choice(region))]
+        if v % 2:
+            arcs.append(Arc(v, detour[0]))
+    arcs += [Arc(a, b) for a, b in zip(detour, detour[1:])]
+    arcs.append(Arc(detour[-1], t))
+    return BoundedFlowNetwork(t + 1, tuple(arcs), 0, t)
+
+
+def _first_phase_slots(net):
+    """(tail, slot) pairs that the first phase's DFS scans, in its order;
+    empty when the sink is out of reach."""
+    tail, head, _, cap = _columns(net.arcs)
+    engine = _ResidualDinic(net.node_count, tail, head, cap)
+    s, t = net.source, net.sink
+    ds = engine._levels(s, t)
+    if ds[t] < 0:
+        return []
+    flat, indptr = engine._phase_csr(s, t, ds)
+    return [(u, flat[k]) for u in range(net.node_count)
+            for k in range(indptr[u], indptr[u + 1])]
+
+
+# small random networks and single networks of 2500 to 3000 arcs
+@pytest.mark.parametrize("name", ["unit", "unit_midsize", "general",
+                                  "general_midsize", "dead_end"])
+def test_first_phase_scans_only_shortest_path_slots(name):
+    nets = ([_dead_end_instance(100, 4), _dead_end_instance(1000, 4)]
+            if name == "dead_end" else _golden_case(name)[1])
+    for net in nets:
+        slots = []
+        for a in net.arcs:
+            slots += [(a.tail, a.head, a.cap), (a.head, a.tail, 0)]
+        assert _first_phase_slots(net) == shortest_path_slots(
+            slots, net.source, net.sink)
+
+
 def _augmenting_path_exists(net, fa):
     """Breadth-first search over the residual network of ``fa``, written
     apart from the library: a maximum flow leaves no source-to-sink path."""
@@ -430,21 +480,29 @@ def _augmenting_path_exists(net, fa):
     return net.sink in seen
 
 
+def _check_target_network(n, kind, fraction):
+    g = (generate_er(n, 3, 11) if kind == "er"
+         else generate_sf(n, 3, 3.0, 11))
+    targets = random.Random(12).sample(range(n), int(fraction * n))
+    net = build_target_network(g, targets).net
+    fa = max_flow_dinic(net)
+    validate_assignment(net, fa)
+    assert not _augmenting_path_exists(net, fa)
+    assert 0 < fa.value < len(targets)
+
+
 class TestOptimalityAtScale:
     # beyond the reach of the exhaustive oracles: a valid flow with no
     # augmenting path left is maximum (max-flow/min-cut)
     @pytest.mark.parametrize("kind", ["er", "sf"])
     @pytest.mark.parametrize("fraction", [0.1, 1.0])
     def test_target_network_10k(self, kind, fraction):
-        n = 10_000
-        g = (generate_er(n, 3, 11) if kind == "er"
-             else generate_sf(n, 3, 3.0, 11))
-        targets = random.Random(12).sample(range(n), int(fraction * n))
-        net = build_target_network(g, targets).net
-        fa = max_flow_dinic(net)
-        validate_assignment(net, fa)
-        assert not _augmenting_path_exists(net, fa)
-        assert 0 < fa.value < len(targets)
+        _check_target_network(10_000, kind, fraction)
+
+    # the two 1e5 shapes of the benchmark
+    @pytest.mark.parametrize("kind, fraction", [("er", 0.1), ("sf", 1.0)])
+    def test_target_network_100k(self, kind, fraction):
+        _check_target_network(100_000, kind, fraction)
 
     def test_general_capacities_with_unbounded_arcs(self):
         net = _general_instance(1000, seed=3)
