@@ -15,7 +15,7 @@ from .experiments import SweepResult, SweepRow, sweep, sweep_to_csv, sweep_to_js
 from .flow import (INF, Arc, BoundedFlowNetwork, FlowAssignment,
                    InfeasibleFlowError, build_associate_graph,
                    feasible_circulation, max_flow_dinic, min_flow_with_bounds,
-                   validate_assignment)
+                   validate_assignment, verify_optimality)
 from .graph import (DiGraph, EdgeListError, format_edge_list, from_adjacency,
                     generate_er, generate_sf, parse_edge_list, to_adjacency)
 from .matching import Matching, driver_count, max_matching
@@ -37,4 +37,5 @@ __all__ = [
     "min_flow_with_bounds", "parse_edge_list", "realize_system", "simulate",
     "solve", "solve_via_circulation", "sweep", "sweep_to_csv",
     "sweep_to_json", "to_adjacency", "validate_assignment", "verify_cover",
+    "verify_optimality",
 ]

@@ -116,12 +116,12 @@ class _ResidualDinic:
     Python sequences.  ``fwd``/``rev`` give each arc's initial residual
     capacity both ways, which lets a search start from a nonzero flow.
 
-    Each phase hands the DFS only the slots that lie on a shortest
-    source-to-sink path, found by a level sweep from each end.  Every other
-    level-graph slot leads only to nodes that cannot reach the sink in the
-    phase; a DFS over all of them would enter those nodes, find them dead
-    and back out without touching a residual.  So the filter finds the
-    same augmenting paths in the same order, and the same assignment.
+    Each phase sweeps breadth-first from the source, keeping each layer's
+    positive slots into the next layer; a pass back over those layers from
+    the sink keeps a slot iff its head reaches the sink.  The DFS so scans
+    only slots on shortest source-to-sink paths.  The others lead to nodes
+    that cannot reach the sink in the phase, which a DFS would enter and
+    leave without touching a residual: the augmenting paths are the same.
     """
 
     def __init__(self, n: int, tail, head, fwd, rev=None):
@@ -135,7 +135,6 @@ class _ResidualDinic:
         self._adj_np = np.argsort(self._tail_np, kind="stable")
         self._indptr_np = np.concatenate(
             ([0], np.cumsum(np.bincount(self._tail_np, minlength=n))))
-        self.head = heads.tolist()
         self.cap = array("q", bytes(16 * m))
         self._cap_np = np.frombuffer(self.cap, dtype=np.int64)
         try:
@@ -159,84 +158,83 @@ class _ResidualDinic:
         return self._adj_np[np.arange(ends[-1])
                             + np.repeat(starts - ends + counts, counts)]
 
-    def _levels(self, root: int, stop: int, flip: int = 0):
-        """Breadth-first layer of every node reachable from ``root`` along
-        slots of positive residual capacity, -1 elsewhere.  ``flip=1``
-        follows the slots from head to tail; the sweep ends with the layer
-        that reaches ``stop``."""
-        level = np.full(self.n, -1, dtype=np.int64)
-        level[root] = 0
-        frontier = np.array([root], dtype=np.int64)
-        depth = 0
-        while frontier.size and level[stop] < 0:
-            depth += 1
-            pos = self._gather(frontier)
-            nxt = self._head_np[pos[self._cap_np[pos ^ flip] > 0]]
-            frontier = _distinct(nxt[level[nxt] < 0])
-            level[frontier] = depth
-        return level
-
     def max_flow(self, s: int, t: int) -> int:
         total = 0
-        while (ds := self._levels(s, t))[t] >= 0:
-            total += self._blocking_flow(s, t, ds)
+        while (csr := self._phase_csr(s, t)) is not None:
+            total += self._blocking_flow(*csr)
         return total
 
-    def _phase_csr(self, s: int, t: int, ds):
-        """Slots on a shortest source-to-sink path of positive residual
-        capacity, as a CSR in per-node slot order.  ``ds`` is the sweep
-        from the source, ``dt`` the backward one from the sink.  The path
-        nodes with a step left are those with ``ds + dt == ds[t]`` and
-        ``dt > 0``; slot u->v of such a node is on a path iff
-        ``dt[v] == dt[u] - 1``."""
-        dt = self._levels(t, s, flip=1)
-        nodes = np.flatnonzero((ds >= 0) & (dt > 0) & (ds + dt == ds[t]))
-        pos = self._gather(nodes)
-        tails = self._tail_np[pos]
-        keep = ((self._cap_np[pos] > 0)
-                & (dt[self._head_np[pos]] == dt[tails] - 1))
-        indptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(tails[keep], minlength=self.n))))
-        return pos[keep].tolist(), indptr.tolist()
+    def _phase_csr(self, s: int, t: int):
+        """The phase's slots as ``(flat, nxt, indptr)``, or ``None`` when
+        the sink is out of reach: a CSR over the phase's own node ids, each
+        node's slots in slot order, ``nxt`` each slot's head by that id.
+        The source is the last of these nodes, the sink the one after."""
+        unseen = np.ones(self.n, dtype=bool)
+        unseen[s] = False
+        frontier = np.array([s], dtype=np.int64)
+        layers = []
+        while frontier.size and unseen[t]:
+            pos = self._gather(frontier)
+            pos = pos[self._cap_np[pos] > 0]
+            nxt = self._head_np[pos]
+            fresh = unseen[nxt]
+            layers.append(pos[fresh])
+            frontier = _distinct(nxt[fresh])
+            unseen[frontier] = False
+        if unseen[t]:
+            return None
+        alive = np.zeros(self.n, dtype=bool)
+        alive[t] = True
+        kept = []
+        while layers:
+            pos = layers.pop()
+            pos = pos[alive[self._head_np[pos]]]
+            alive[self._tail_np[pos]] = True
+            kept.append(pos)
+        flat = np.concatenate(kept)
+        tails = self._tail_np[flat]
+        indptr = np.flatnonzero(np.diff(tails, prepend=-1, append=-1))
+        local = np.empty(self.n, dtype=np.int64)
+        local[tails[indptr[:-1]]] = np.arange(indptr.size - 1)
+        local[t] = indptr.size - 1
+        return (flat.tolist(), local[self._head_np[flat]].tolist(),
+                indptr.tolist())
 
-    def _blocking_flow(self, s: int, t: int, ds) -> int:
-        cap, head = self.cap, self.head
-        flat, indptr = self._phase_csr(s, t, ds)
+    def _blocking_flow(self, flat, nxt, indptr) -> int:
+        """Augment along the phase CSR until no path is left.  A node
+        whose slots are used up keeps its cursor at their end, so a later
+        visit backs out of it at once."""
+        cap = self.cap
+        t = len(indptr) - 1
+        u = s = t - 1
         it = indptr[:-1]
-        dead = bytearray(self.n)
-        path: list[int] = []
+        path: list[int] = []  # positions in ``flat``
         total = 0
-        u = s
         while True:
             if u == t:
-                aug = min([cap[p] for p in path])
-                for p in path:
-                    cap[p] -= aug
-                    cap[p ^ 1] += aug
+                caps = [cap[flat[k]] for k in path]
+                aug = min(caps)
+                for k in path:
+                    cap[flat[k]] -= aug
+                    cap[flat[k] ^ 1] += aug
                 total += aug
                 # resume from the tail of the first saturated slot
-                del path[next(k for k, p in enumerate(path) if not cap[p]):]
-                u = head[path[-1]] if path else s
+                del path[caps.index(aug):]
+                u = nxt[path[-1]] if path else s
                 continue
             k = it[u]
             end = indptr[u + 1]
-            p = -1
-            while k < end:
-                q = flat[k]
-                if cap[q] and not dead[head[q]]:
-                    p = q
-                    break
+            while k < end and not cap[flat[k]]:
                 k += 1
             it[u] = k
-            if p >= 0:
-                path.append(p)
-                u = head[p]
+            if k < end:
+                path.append(k)
+                u = nxt[k]
             else:
                 if u == s:
                     break
-                dead[u] = 1
-                p = path.pop()
-                u = head[p ^ 1]
+                path.pop()
+                u = nxt[path[-1]] if path else s
                 it[u] += 1
         return total
 
@@ -387,3 +385,41 @@ def validate_assignment(net: BoundedFlowNetwork,
             raise ValueError(f"conservation violated at node {v}")
     if balance[s] != -balance[t]:
         raise ValueError("source and sink imbalance differ")
+
+
+def verify_optimality(net: BoundedFlowNetwork,
+                      assignment: FlowAssignment) -> None:
+    """Raise ``ValueError`` unless ``assignment`` is a valid flow whose
+    value equals the capacity of a cut, which makes it maximum.
+
+    The cut's source side is what a breadth-first search reaches from the
+    source in the residual network of ``assignment``: the sink must lie
+    outside it, each arc out of it must be saturated and each arc into it
+    must carry its lower bound.  The residual network is rebuilt from
+    ``assignment`` alone, and the search shares the engine's CSR but none
+    of its phase code."""
+    validate_assignment(net, assignment)
+    tail, head, lower, cap = _columns(net.arcs)
+    flow = assignment.flow
+    res = _ResidualDinic(net.node_count, tail, head,
+                         [c - f for c, f in zip(cap, flow)],
+                         [f - lo for f, lo in zip(flow, lower)])
+    side = np.zeros(net.node_count, dtype=bool)
+    frontier = np.array([net.source])
+    while frontier.size:
+        side[frontier] = True
+        pos = res._gather(frontier)
+        nxt = res._head_np[pos[res._cap_np[pos] > 0]]
+        frontier = _distinct(nxt[~side[nxt]])
+    if side[net.sink]:
+        raise ValueError("an augmenting path is left")
+    cut = 0
+    out = side[res._tail_np[0::2]]
+    for i in np.flatnonzero(out != side[res._head_np[0::2]]).tolist():
+        a, f = net.arcs[i], flow[i]
+        if f != (a.cap if out[i] else a.lower):
+            raise ValueError(f"{a} crosses the cut with flow {f}")
+        cut += f if out[i] else -f
+    if cut != assignment.value:
+        raise ValueError(f"cut capacity {cut} differs from the flow value "
+                         f"{assignment.value}")

@@ -1,7 +1,4 @@
-"""Smoke tests: the quick demos run to completion as scripts.
-
-``04_fraction_sweep.py`` is left out; it takes several seconds.
-"""
+"""Smoke tests: every demo runs to completion as a script."""
 
 import os
 import subprocess
@@ -15,7 +12,8 @@ ROOT = Path(__file__).parent.parent
 
 @pytest.mark.parametrize("script", ["01_minimum_drivers_for_targets.py",
                                     "02_flow_machinery.py",
-                                    "03_certify_and_steer.py"])
+                                    "03_certify_and_steer.py",
+                                    "04_fraction_sweep.py"])
 def test_demo_runs(script, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     # run in a scratch directory: demo 03 writes its trajectory CSV there

@@ -9,8 +9,9 @@ from targetflow import (INF, Arc, BoundedFlowNetwork, InfeasibleFlowError,
                         build_associate_graph, build_circulation_network,
                         build_target_network, feasible_circulation,
                         generate_er, generate_sf, max_flow_dinic,
-                        min_flow_with_bounds, validate_assignment)
-from targetflow.flow import _columns, _ResidualDinic
+                        min_flow_with_bounds, validate_assignment,
+                        verify_optimality)
+from targetflow.flow import FlowAssignment, _columns, _ResidualDinic
 
 from conftest import random_graph, random_targets
 from reference import (brute_circulation_exists, brute_min_flow_value,
@@ -433,32 +434,69 @@ def _dead_end_instance(size, seed):
     return BoundedFlowNetwork(t + 1, tuple(arcs), 0, t)
 
 
+def _deep_thin_instance(length, size, seed):
+    """A path of ``length`` arcs from source to sink beside a region of
+    ``size`` nodes that the source enters directly and that has no way
+    out, so a phase sweeps the region and then hundreds of one-node
+    layers."""
+    rng = random.Random(seed)
+    t = length + size
+    region = range(length, t)
+    arcs = [Arc(v, v + 1) for v in range(length - 1)] + [Arc(length - 1, t)]
+    arcs += [Arc(0, v) for v in region[:10]]
+    arcs += [Arc(v, rng.choice(region)) for v in region for _ in range(2)]
+    return BoundedFlowNetwork(t + 1, tuple(arcs), 0, t)
+
+
 def _first_phase_slots(net):
-    """(tail, slot) pairs that the first phase's DFS scans, in its order;
-    empty when the sink is out of reach."""
+    """(tail, slot) pairs that the first phase's DFS scans, node by node in
+    ascending node order; ``None`` when the sink is out of reach.  Checks
+    that the phase's own node ids name distinct network nodes, that each
+    node's slots leave it, that ``nxt`` names each slot's head, and that
+    the source and the sink come last."""
     tail, head, _, cap = _columns(net.arcs)
     engine = _ResidualDinic(net.node_count, tail, head, cap)
-    s, t = net.source, net.sink
-    ds = engine._levels(s, t)
-    if ds[t] < 0:
-        return []
-    flat, indptr = engine._phase_csr(s, t, ds)
-    return [(u, flat[k]) for u in range(net.node_count)
-            for k in range(indptr[u], indptr[u + 1])]
+    csr = engine._phase_csr(net.source, net.sink)
+    if csr is None:
+        return None
+    flat, nxt, indptr = csr
+    tails, heads = engine._tail_np.tolist(), engine._head_np.tolist()
+    rows = [flat[a:b] for a, b in zip(indptr, indptr[1:])]
+    nodes = [tails[row[0]] for row in rows] + [net.sink]
+    assert all(tails[q] == u for u, row in zip(nodes, rows) for q in row)
+    assert [nodes[v] for v in nxt] == [heads[q] for q in flat]
+    assert len(set(nodes)) == len(nodes) and nodes[-2] == net.source
+    return [(u, q) for u, row in sorted(zip(nodes, rows)) for q in row]
 
 
-# small random networks and single networks of 2500 to 3000 arcs
+def _slot_case(name):
+    if name == "dead_end":
+        return [_dead_end_instance(100, 4), _dead_end_instance(1000, 4)]
+    if name == "deep_thin":
+        return [_deep_thin_instance(500, 1000, 4)]
+    return _golden_case(name)[1]
+
+
+# small random networks, single networks of 2500 to 3000 arcs, and a
+# phase of about 500 layers
 @pytest.mark.parametrize("name", ["unit", "unit_midsize", "general",
-                                  "general_midsize", "dead_end"])
+                                  "general_midsize", "dead_end", "deep_thin"])
 def test_first_phase_scans_only_shortest_path_slots(name):
-    nets = ([_dead_end_instance(100, 4), _dead_end_instance(1000, 4)]
-            if name == "dead_end" else _golden_case(name)[1])
-    for net in nets:
+    for net in _slot_case(name):
         slots = []
         for a in net.arcs:
             slots += [(a.tail, a.head, a.cap), (a.head, a.tail, 0)]
-        assert _first_phase_slots(net) == shortest_path_slots(
-            slots, net.source, net.sink)
+        # the reference gives no slots exactly when the sink is out of reach
+        assert _first_phase_slots(net) == (shortest_path_slots(
+            slots, net.source, net.sink) or None)
+
+
+def test_phase_without_path_to_sink_is_none():
+    # the dead-end network without the arcs into its sink
+    net = _dead_end_instance(1000, 4)
+    arcs = tuple(a for a in net.arcs if a.head != net.sink)
+    assert _first_phase_slots(
+        BoundedFlowNetwork(net.node_count, arcs, 0, net.sink)) is None
 
 
 def _augmenting_path_exists(net, fa):
@@ -488,6 +526,7 @@ def _check_target_network(n, kind, fraction):
     fa = max_flow_dinic(net)
     validate_assignment(net, fa)
     assert not _augmenting_path_exists(net, fa)
+    verify_optimality(net, fa)
     assert 0 < fa.value < len(targets)
 
 
@@ -499,8 +538,9 @@ class TestOptimalityAtScale:
     def test_target_network_10k(self, kind, fraction):
         _check_target_network(10_000, kind, fraction)
 
-    # the two 1e5 shapes of the benchmark
-    @pytest.mark.parametrize("kind, fraction", [("er", 0.1), ("sf", 1.0)])
+    # er-0.1 and sf-1.0 are the two 1e5 shapes of the benchmark
+    @pytest.mark.parametrize("kind, fraction", [("er", 0.1), ("er", 1.0),
+                                                ("sf", 0.1), ("sf", 1.0)])
     def test_target_network_100k(self, kind, fraction):
         _check_target_network(100_000, kind, fraction)
 
@@ -511,7 +551,45 @@ class TestOptimalityAtScale:
         fa = max_flow_dinic(net)
         validate_assignment(net, fa)
         assert not _augmenting_path_exists(net, fa)
+        verify_optimality(net, fa)
         assert fa.value > 0
+
+
+class TestVerifyOptimality:
+    def test_accepts_maximum_flows(self):
+        for net in _random_networks(123, 300):
+            verify_optimality(net, max_flow_dinic(net))
+
+    def test_rejects_flow_with_augmenting_path(self):
+        rejected = 0
+        for net in _random_networks(123, 300):
+            if max_flow_dinic(net).value:
+                with pytest.raises(ValueError, match="augmenting path"):
+                    verify_optimality(
+                        net, FlowAssignment((0,) * len(net.arcs), 0))
+                rejected += 1
+        assert rejected > 100
+
+    def test_rejects_wrong_value(self):
+        net = _general_instance(1000, seed=3)
+        fa = max_flow_dinic(net)
+        with pytest.raises(ValueError, match="cut capacity"):
+            verify_optimality(net, FlowAssignment(fa.flow, fa.value + 1))
+
+    def test_rejects_invalid_flow(self):
+        net = BoundedFlowNetwork(2, (Arc(0, 1, 0, 1),), 0, 1)
+        with pytest.raises(ValueError, match="bounds"):
+            verify_optimality(net, FlowAssignment((2,), 2))
+
+    def test_lower_bound_into_source_side_counts_against_cut(self):
+        # s=0, a=1, b=2, t=3; b->a must carry 1, so a->t is full and the
+        # cut {s, a} has capacity 1 (s->b) - 1 (b->a) + 1 (a->t)
+        net = BoundedFlowNetwork(
+            4, (Arc(0, 1, 0, 2), Arc(0, 2, 0, 1), Arc(2, 1, 1, 1),
+                Arc(1, 3, 0, 1)), 0, 3)
+        verify_optimality(net, FlowAssignment((0, 1, 1, 1), 1))
+        with pytest.raises(ValueError, match="cut capacity"):
+            verify_optimality(net, FlowAssignment((0, 1, 1, 1), 2))
 
 
 class TestInt64Range:
