@@ -12,13 +12,14 @@ from .cover import (CirculationNetwork, DriverAllocation, PathCover,
                     decompose_cover, extract_cover_edges, solve,
                     solve_via_circulation, verify_cover)
 from .experiments import SweepResult, SweepRow, sweep, sweep_to_csv, sweep_to_json
-from .flow import (INF, Arc, BoundedFlowNetwork, FlowAssignment,
-                   InfeasibleFlowError, build_associate_graph,
-                   feasible_circulation, max_flow_dinic, min_flow_with_bounds,
-                   validate_assignment, verify_optimality)
+from .flow import (FlowAssignment, InfeasibleFlowError,
+                   build_associate_graph, feasible_circulation, max_flow_dinic,
+                   min_flow_with_bounds, validate_assignment,
+                   verify_optimality)
 from .graph import (DiGraph, EdgeListError, format_edge_list, from_adjacency,
                     generate_er, generate_sf, parse_edge_list, to_adjacency)
 from .matching import Matching, driver_count, max_matching
+from .network import INF, Arc, BoundedFlowNetwork
 
 __version__ = "0.1.0"
 

@@ -19,9 +19,11 @@ Two equivalent routes are provided:
 
 from dataclasses import dataclass
 
-from .flow import (INF, Arc, BoundedFlowNetwork, FlowAssignment,
-                   max_flow_dinic, min_flow_with_bounds)
-from .graph import DiGraph
+import numpy as np
+
+from .flow import FlowAssignment, max_flow_dinic, min_flow_with_bounds
+from .graph import DiGraph, _repeats
+from .network import INF, Arc, BoundedFlowNetwork
 
 TAG_INJECT = "inject"
 TAG_COLLECT = "collect"
@@ -76,7 +78,7 @@ class TargetFlowNetwork:
     net: BoundedFlowNetwork
     n: int
     targets: tuple[int, ...]
-    edge_arcs: tuple[int, ...]
+    edge_arcs: range
 
 
 @dataclass(frozen=True)
@@ -88,7 +90,7 @@ class CirculationNetwork:
     net: BoundedFlowNetwork
     n: int
     targets: tuple[int, ...]
-    edge_arcs: tuple[int, ...]
+    edge_arcs: range
     return_arc: int
 
 
@@ -111,23 +113,21 @@ def build_target_network(g: DiGraph, targets) -> TargetFlowNetwork:
     capacities are one.
     """
     members = _checked_targets(g, targets)
-    tset = set(members)
-    n = g.n
+    n, k, m = g.n, len(members), g.tail.size
+    chosen = np.array(members, dtype=np.int64)
+    relay = np.ones(n, dtype=bool)
+    relay[chosen] = False
+    relay = np.flatnonzero(relay)
     collector, injector = 2 * n, 2 * n + 1
-    arcs = []
-    for v in members:
-        arcs.append(Arc(injector, n + v, 0, 1, TAG_INJECT))
-    for v in members:
-        arcs.append(Arc(v, collector, 0, 1, TAG_COLLECT))
-    for v in range(n):
-        if v not in tset:
-            arcs.append(Arc(v, n + v, 0, 1, TAG_RELAY))
-    edge_start = len(arcs)
-    for t, h in g.edges:
-        arcs.append(Arc(n + t, h, 0, 1, TAG_EDGE))
-    net = BoundedFlowNetwork(2 * n + 2, tuple(arcs), injector, collector)
-    return TargetFlowNetwork(net, n, members,
-                             tuple(range(edge_start, len(arcs))))
+    tail, head = np.concatenate((
+        np.full(k, injector), chosen, relay, g.tail + n,
+        chosen + n, np.full(k, collector), relay + n, g.head)).reshape(2, -1)
+    net = BoundedFlowNetwork.from_columns(
+        2 * n + 2, injector, collector, tail, head,
+        np.zeros(tail.size, dtype=np.int64),
+        np.ones(tail.size, dtype=np.int64),
+        ((TAG_INJECT, k), (TAG_COLLECT, k), (TAG_RELAY, n - k), (TAG_EDGE, m)))
+    return TargetFlowNetwork(net, n, members, range(n + k, n + k + m))
 
 
 def extract_cover_edges(tnet: TargetFlowNetwork | CirculationNetwork,
@@ -139,19 +139,18 @@ def extract_cover_edges(tnet: TargetFlowNetwork | CirculationNetwork,
         ValueError: some node has two selected in-edges or two selected
             out-edges, which no valid assignment can produce.
     """
-    heads_seen = set()
-    tails_seen = set()
-    selected = []
-    for arc_idx in tnet.edge_arcs:
-        if assignment.flow[arc_idx] == 1:
-            a = tnet.net.arcs[arc_idx]
-            t, h = a.tail - tnet.n, a.head
-            if t in tails_seen or h in heads_seen:
-                raise ValueError(f"flow selects conflicting edges at ({t}, {h})")
-            tails_seen.add(t)
-            heads_seen.add(h)
-            selected.append((t, h))
-    return selected
+    flow = assignment.flow
+    picked = [i for i in tnet.edge_arcs if flow[i] == 1]
+    tails = (tnet.net.tail[picked] - tnet.n).tolist()
+    heads = tnet.net.head[picked].tolist()
+    edges = list(zip(tails, heads))
+    # sets are the cheap test on small covers; the culprit is found only
+    # when there is one
+    if len(set(tails)) < len(edges) or len(set(heads)) < len(edges):
+        bad = _repeats(np.array(tails)) | _repeats(np.array(heads))
+        t, h = edges[bad.argmax()]
+        raise ValueError(f"flow selects conflicting edges at ({t}, {h})")
+    return edges
 
 
 def decompose_cover(cover_edges, targets) -> PathCover:
@@ -206,8 +205,8 @@ def solve(g: DiGraph, targets) -> Solution:
     and decomposes the unit-flow edges.  The number of paths always equals
     ``|targets| - flow value``.
     """
-    members = _checked_targets(g, targets)
-    tnet = build_target_network(g, members)
+    tnet = build_target_network(g, targets)
+    members = tnet.targets
     assignment = max_flow_dinic(tnet.net)
     cover = decompose_cover(extract_cover_edges(tnet, assignment), members)
     if len(cover.paths) != len(members) - assignment.value:
@@ -239,8 +238,8 @@ def build_circulation_network(g: DiGraph, targets) -> CirculationNetwork:
     return_arc = len(arcs)
     arcs.append(Arc(snk, src, 0, INF, TAG_RETURN))
     net = BoundedFlowNetwork(2 * n + 2, tuple(arcs), src, snk)
-    return CirculationNetwork(net, n, members,
-                              tuple(range(edge_start, return_arc)), return_arc)
+    return CirculationNetwork(net, n, members, range(edge_start, return_arc),
+                              return_arc)
 
 
 def solve_via_circulation(g: DiGraph, targets) -> Solution:
@@ -252,8 +251,8 @@ def solve_via_circulation(g: DiGraph, targets) -> Solution:
     direct route trims, but their number, and hence the driver count, must
     match.
     """
-    members = _checked_targets(g, targets)
-    cnet = build_circulation_network(g, members)
+    cnet = build_circulation_network(g, targets)
+    members = cnet.targets
     assignment = min_flow_with_bounds(cnet.net)
     cover = decompose_cover(extract_cover_edges(cnet, assignment), members)
     if len(cover.paths) != assignment.value:

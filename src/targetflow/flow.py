@@ -1,9 +1,8 @@
 """Capacity-network engine: Dinic maximum flow plus lower-bound machinery.
 
-Networks carry integer lower/upper bounds per arc.  Unbounded capacity is
-expressed with the ``INF`` marker; solvers substitute an integer sentinel
-larger than any achievable flow so that all arithmetic stays integral.
-Residual capacities are int64, so a finite capacity or sentinel beyond
+The solvers run on the arc columns of a
+:class:`~targetflow.network.BoundedFlowNetwork`.  Residual capacities are
+int64, so a finite capacity or the sentinel standing in for ``INF`` beyond
 that range raises ``ValueError``.
 
 One residual engine runs every solver: maximum flow, the saturation of the
@@ -15,26 +14,16 @@ Determinism: arcs are traversed in ascending insertion order everywhere
 yields the same flow assignment, not merely the same value.
 """
 
-import math
 from array import array
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-INF = math.inf
+from .network import INF, Arc, BoundedFlowNetwork, _column, _finite_caps
 
 
 class InfeasibleFlowError(RuntimeError):
     """No flow satisfies the lower/upper bounds of the network."""
-
-
-class Arc(NamedTuple):
-    tail: int
-    head: int
-    lower: int = 0
-    cap: int | float = 1
-    tag: str | None = None
 
 
 class FlowAssignment(NamedTuple):
@@ -45,54 +34,15 @@ class FlowAssignment(NamedTuple):
     value: int
 
 
-@dataclass(frozen=True)
-class BoundedFlowNetwork:
-    """Directed capacity network with per-arc bounds ``lower <= cap``.
-
-    ``source`` and ``sink`` are the endpoints of the flow problem the network
-    poses.  Apart from an explicit return arc (sink -> source), the source
-    must have no incoming arcs and the sink no outgoing arcs.  Parallel arcs
-    and self-loop arcs are permitted.
-    """
-
-    node_count: int
-    arcs: tuple[Arc, ...]
-    source: int
-    sink: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "arcs", tuple(self.arcs))
-        n = self.node_count
-        if not (0 <= self.source < n and 0 <= self.sink < n):
-            raise ValueError("source/sink out of range")
-        if self.source == self.sink:
-            raise ValueError("source and sink must differ")
-        for a in self.arcs:
-            if not (0 <= a.tail < n and 0 <= a.head < n):
-                raise ValueError(f"arc endpoint out of range: {a}")
-            if a.lower < 0 or int(a.lower) != a.lower:
-                raise ValueError(f"lower bound must be a non-negative integer: {a}")
-            if a.cap != INF:
-                if int(a.cap) != a.cap:
-                    raise ValueError(f"finite capacity must be an integer: {a}")
-                if a.lower > a.cap:
-                    raise ValueError(f"lower bound exceeds capacity: {a}")
-            if a.head == self.source and a.tail != self.sink and a.cap > 0:
-                raise ValueError("source admits no incoming arc besides a return arc")
-            if a.tail == self.sink and a.head != self.source and a.cap > 0:
-                raise ValueError("sink admits no outgoing arc besides a return arc")
-
-
-def _columns(arcs):
-    """Tail, head, lower and integer capacity columns of ``arcs``, with
-    ``INF`` mapped to an integer larger than any flow the finite bounds can
-    carry."""
-    if not arcs:
-        return (), (), (), []
-    tail, head, lower, cap, _ = zip(*arcs)
-    big = (1 + sum(int(c) for c in cap if c != INF) + sum(map(int, lower))
-           if INF in cap else None)
-    return tail, head, lower, [big if c == INF else int(c) for c in cap]
+def _node_sums(n: int, nodes, values):
+    """Exact sum of the non-negative ``values`` at each of ``n`` nodes, in
+    Python integers where int64 could overflow."""
+    if (values.dtype != object and values.size
+            and values.max() > np.iinfo(np.int64).max // values.size):
+        values = values.astype(object)
+    sums = np.zeros(n, dtype=values.dtype)
+    np.add.at(sums, nodes, values)
+    return sums
 
 
 def _distinct(nodes):
@@ -257,10 +207,10 @@ def max_flow_dinic(net: BoundedFlowNetwork,
         raise ValueError("source equals sink")
     if not (0 <= s < net.node_count and 0 <= t < net.node_count):
         raise ValueError("source/sink out of range")
-    tail, head, lower, cap = _columns(net.arcs)
-    if any(lower):
+    if np.count_nonzero(net.lower):
         raise ValueError("max_flow_dinic requires all lower bounds zero")
-    engine = _ResidualDinic(net.node_count, tail, head, cap)
+    engine = _ResidualDinic(net.node_count, net.tail, net.head,
+                            _finite_caps(net))
     value = engine.max_flow(s, t)
     return FlowAssignment(tuple(engine.pushed()), value)
 
@@ -328,19 +278,14 @@ def min_flow_with_bounds(net: BoundedFlowNetwork,
     s = net.source if source is None else source
     t = net.sink if sink is None else sink
 
-    return_idx = None
-    for i, a in enumerate(net.arcs):
-        if a.tail == t and a.head == s and a.cap == INF and a.lower == 0:
-            return_idx = i
-            break
-
-    if return_idx is None:
+    back = np.flatnonzero((net.tail == t) & (net.head == s)
+                          & (net.cap == INF) & (net.lower == 0))
+    if back.size:
+        work, return_pos = net, int(back[0])
+    else:
         work = BoundedFlowNetwork(net.node_count,
                                   net.arcs + (Arc(t, s, 0, INF),), s, t)
         return_pos = len(net.arcs)
-    else:
-        work = net
-        return_pos = return_idx
 
     circ = feasible_circulation(work)
     if circ is None:
@@ -349,11 +294,11 @@ def min_flow_with_bounds(net: BoundedFlowNetwork,
 
     # Residual cancellation: push sink -> source from the circulation,
     # with the return arc closed both ways.
-    tail, head, lower, cap = _columns(work.arcs)
-    fwd = [c - f for c, f in zip(cap, circ.flow)]
-    rev = [f - lo for f, lo in zip(circ.flow, lower)]
+    flow = _column(circ.flow)
+    fwd = _finite_caps(work) - flow
+    rev = flow - work.lower
     fwd[return_pos] = rev[return_pos] = 0
-    engine = _ResidualDinic(net.node_count, tail, head, fwd, rev)
+    engine = _ResidualDinic(net.node_count, work.tail, work.head, fwd, rev)
     canceled = engine.max_flow(t, s)
     final = [f + d for f, d in zip(circ.flow, engine.pushed())]
     final[return_pos] = value0 - canceled
@@ -368,22 +313,23 @@ def validate_assignment(net: BoundedFlowNetwork,
     other than source/sink conserves flow exactly."""
     s = net.source if source is None else source
     t = net.sink if sink is None else sink
-    if len(assignment.flow) != len(net.arcs):
+    if len(assignment.flow) != net.tail.size:
         raise ValueError("flow vector length mismatch")
-    balance = [0] * net.node_count
-    for a, f in zip(net.arcs, assignment.flow):
-        if f != int(f):
-            raise ValueError("non-integer flow")
-        if f < a.lower or (a.cap != INF and f > a.cap):
-            raise ValueError(f"flow {f} violates bounds on {a}")
-        balance[a.tail] -= f
-        balance[a.head] += f
-    for v in range(net.node_count):
-        if v in (s, t):
-            continue
-        if balance[v] != 0:
-            raise ValueError(f"conservation violated at node {v}")
-    if balance[s] != -balance[t]:
+    flow = _column(assignment.flow)
+    if (flow % 1 != 0).any():
+        raise ValueError("non-integer flow")
+    bad = (flow < net.lower) | (flow > net.cap)
+    if bad.any():
+        i = bad.argmax()
+        raise ValueError(f"flow {flow[i]} violates bounds on {net.arcs[i]}")
+    balance = (_node_sums(net.node_count, net.head, flow)
+               - _node_sums(net.node_count, net.tail, flow))
+    ends = balance[[s, t]].tolist()
+    balance[[s, t]] = 0
+    if balance.any():
+        v = (balance != 0).argmax()
+        raise ValueError(f"conservation violated at node {v}")
+    if ends[0] != -ends[1]:
         raise ValueError("source and sink imbalance differ")
 
 
@@ -399,11 +345,9 @@ def verify_optimality(net: BoundedFlowNetwork,
     ``assignment`` alone, and the search shares the engine's CSR but none
     of its phase code."""
     validate_assignment(net, assignment)
-    tail, head, lower, cap = _columns(net.arcs)
-    flow = assignment.flow
-    res = _ResidualDinic(net.node_count, tail, head,
-                         [c - f for c, f in zip(cap, flow)],
-                         [f - lo for f, lo in zip(flow, lower)])
+    flow, cap = _column(assignment.flow), _finite_caps(net)
+    res = _ResidualDinic(net.node_count, net.tail, net.head, cap - flow,
+                         flow - net.lower)
     side = np.zeros(net.node_count, dtype=bool)
     frontier = np.array([net.source])
     while frontier.size:
@@ -413,13 +357,13 @@ def verify_optimality(net: BoundedFlowNetwork,
         frontier = _distinct(nxt[~side[nxt]])
     if side[net.sink]:
         raise ValueError("an augmenting path is left")
-    cut = 0
-    out = side[res._tail_np[0::2]]
-    for i in np.flatnonzero(out != side[res._head_np[0::2]]).tolist():
-        a, f = net.arcs[i], flow[i]
-        if f != (a.cap if out[i] else a.lower):
-            raise ValueError(f"{a} crosses the cut with flow {f}")
-        cut += f if out[i] else -f
+    out, into = side[net.tail], side[net.head]
+    leaving, entering = out & ~into, into & ~out
+    bad = leaving & (flow != cap) | entering & (flow != net.lower)
+    if bad.any():
+        i = bad.argmax()
+        raise ValueError(f"{net.arcs[i]} crosses the cut with flow {flow[i]}")
+    cut = sum(flow[leaving].tolist()) - sum(flow[entering].tolist())
     if cut != assignment.value:
         raise ValueError(f"cut capacity {cut} differs from the flow value "
                          f"{assignment.value}")

@@ -2,9 +2,10 @@
 
 Everything here is deliberately naive (shortest augmenting paths, plain
 breadth-first distances, subset enumeration, one matrix exponential per
-quadrature sample, Runge-Kutta integration) and shares no code with the
-library's solvers; the Gramian reference borrows only the library's
-``expm``.
+quadrature sample, Runge-Kutta integration, per-line and per-arc loops)
+and shares no code with the library's solvers; the Gramian reference
+borrows only the library's ``expm``, the parser reference its
+``EdgeListError`` and the network reference its ``Arc`` tuple.
 """
 
 from collections import defaultdict, deque
@@ -12,6 +13,62 @@ from collections import defaultdict, deque
 import numpy as np
 
 from targetflow.certify import expm
+from targetflow.graph import EdgeListError
+from targetflow.network import Arc
+
+
+def parse_lines(lines):
+    """Edge-list parser as one loop over ``lines``: returns the node count,
+    the edges in first-appearance order with duplicates dropped, and the
+    label -> id map; raises ``EdgeListError`` naming the first bad line."""
+    labels = {}
+    edges = []
+    seen = set()
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise EdgeListError(f"expected 2 tokens, got {len(parts)}", line_no)
+        try:
+            a, b = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise EdgeListError(f"non-integer token in {parts!r}", line_no) from None
+        if a < 0 or b < 0:
+            raise EdgeListError("labels must be non-negative", line_no)
+        for lab in (a, b):
+            if lab not in labels:
+                labels[lab] = len(labels)
+        e = (labels[a], labels[b])
+        if e not in seen:
+            seen.add(e)
+            edges.append(e)
+    return len(labels), tuple(edges), labels
+
+
+def adjacency_lists(n, edges):
+    """Out- and in-neighbour tuples of every node, in edge order."""
+    out_adj = [[] for _ in range(n)]
+    in_adj = [[] for _ in range(n)]
+    for t, h in edges:
+        out_adj[t].append(h)
+        in_adj[h].append(t)
+    return (tuple(map(tuple, out_adj)), tuple(map(tuple, in_adj)))
+
+
+def target_network_arcs(g, targets):
+    """Arcs of the node-split target network, built one ``Arc`` at a time:
+    inject and collect arcs per target, relay arcs per other node, then one
+    arc per graph edge."""
+    members = sorted(set(targets))
+    n = g.n
+    arcs = [Arc(2 * n + 1, n + v, 0, 1, "inject") for v in members]
+    arcs += [Arc(v, 2 * n, 0, 1, "collect") for v in members]
+    arcs += [Arc(v, n + v, 0, 1, "relay") for v in range(n)
+             if v not in members]
+    arcs += [Arc(n + t, h, 0, 1, "edge") for t, h in g.edges]
+    return tuple(arcs)
 
 
 def edmonds_karp_value(node_count, arcs, s, t):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from targetflow import (PathCover, format_edge_list, generate_er,
@@ -47,6 +50,19 @@ class TestSolveCommand:
         gfile.write_text("1 2 3\n")
         code, _ = run(capsys, "solve", str(gfile), TARGETS)
         assert code == 1
+
+    def test_canonical_solve_leaves_numpy_ma_unimported(self):
+        # numpy.ma (pulled in by np.unique, for one) costs resident memory
+        # on every solve
+        code = ("import sys; from targetflow.cli import main; "
+                f"main(['solve', {GRAPH!r}, {TARGETS!r}]); "
+                "print('numpy.ma' in sys.modules)")
+        src = Path(__file__).parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
     def test_missing_file_exits_1(self, capsys):
         code, _ = run(capsys, "solve", "/nonexistent", TARGETS)

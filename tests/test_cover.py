@@ -2,13 +2,14 @@ import random
 
 import pytest
 
+import targetflow.cover
 from targetflow import (DiGraph, PathCover, allocate_drivers,
                         build_target_network, decompose_cover, driver_count,
-                        extract_cover_edges, max_flow_dinic, solve,
-                        solve_via_circulation, verify_cover)
+                        extract_cover_edges, generate_er, max_flow_dinic,
+                        solve, solve_via_circulation, verify_cover)
 
 from conftest import random_graph, random_targets
-from reference import min_cover_drivers
+from reference import min_cover_drivers, target_network_arcs
 
 
 class TestBuildTargetNetwork:
@@ -47,6 +48,30 @@ class TestBuildTargetNetwork:
         tnet = build_target_network(g, [0])
         edge_arc = tnet.net.arcs[tnet.edge_arcs[0]]
         assert (edge_arc.tail, edge_arc.head) == (1, 0)
+
+    def test_arcs_match_per_arc_builder(self):
+        rng = random.Random(21)
+        for _ in range(300):
+            g = random_graph(rng, 12, 30)
+            targets = random_targets(rng, g.n)
+            tnet = build_target_network(g, targets)
+            want = target_network_arcs(g, targets)
+            assert tnet.net.arcs == want
+            assert [want[i] for i in tnet.edge_arcs] == [
+                a for a in want if a.tag == "edge"]
+            assert (tnet.net.node_count, tnet.net.source, tnet.net.sink) == (
+                2 * g.n + 2, 2 * g.n + 1, 2 * g.n)
+
+    def test_solve_builds_no_per_edge_tuples(self, monkeypatch):
+        # the graph's tuple views and the network's Arc tuples stay unbuilt
+        g = generate_er(10_000, 3, 5)
+        nets = []
+        build = targetflow.cover.build_target_network
+        monkeypatch.setattr(targetflow.cover, "build_target_network",
+                            lambda *args: nets.append(build(*args)) or nets[-1])
+        solve(g, random.Random(6).sample(range(g.n), 1000))
+        assert not {"edges", "out_adj", "in_adj"} & vars(g).keys()
+        assert "arcs" not in vars(nets[0].net)
 
 
 class TestExtractCoverEdges:

@@ -11,7 +11,8 @@ from targetflow import (INF, Arc, BoundedFlowNetwork, InfeasibleFlowError,
                         generate_er, generate_sf, max_flow_dinic,
                         min_flow_with_bounds, validate_assignment,
                         verify_optimality)
-from targetflow.flow import FlowAssignment, _columns, _ResidualDinic
+from targetflow.flow import FlowAssignment, _ResidualDinic
+from targetflow.network import _finite_caps
 
 from conftest import random_graph, random_targets
 from reference import (brute_circulation_exists, brute_min_flow_value,
@@ -454,8 +455,8 @@ def _first_phase_slots(net):
     that the phase's own node ids name distinct network nodes, that each
     node's slots leave it, that ``nxt`` names each slot's head, and that
     the source and the sink come last."""
-    tail, head, _, cap = _columns(net.arcs)
-    engine = _ResidualDinic(net.node_count, tail, head, cap)
+    engine = _ResidualDinic(net.node_count, net.tail, net.head,
+                            _finite_caps(net))
     csr = engine._phase_csr(net.source, net.sink)
     if csr is None:
         return None

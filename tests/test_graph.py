@@ -1,13 +1,16 @@
+import io
 import random
 
 import numpy as np
 import pytest
 
+import targetflow.graph
 from targetflow import (DiGraph, EdgeListError, format_edge_list,
                         from_adjacency, generate_er, generate_sf,
                         parse_edge_list, to_adjacency)
 
 from conftest import CANONICAL_EDGES, random_graph
+from reference import adjacency_lists, parse_lines
 
 # 9-node instance adjacency, row 6 reconciled so that solving it reproduces
 # the known single-driver answer (entry (6,3) added).
@@ -90,6 +93,157 @@ class TestParse:
             assert labels2 == labels
 
 
+# tokens ``int`` accepts that the numpy tokenizer leaves to the line loop
+LOOP_TOKENS = ["+5", "1_000", "\u0663", "\uff15", "\u0661\u0662", str(2 ** 63),
+               str(2 ** 64 + 3), "0" * 19 + "7"]
+MALFORMED = ["1 2 3", "x 1", "-1 2", "7", "1.5 2", "1 2 # c", "1 -2", "0x1 2"]
+# characters that str.split() and str.splitlines() treat specially
+ODD_CHARS = ["\x0c", "\x0b", "\u2028", "\x85", "\xa0", "\r", "\x1c"]
+
+
+def _fuzz_text(rng, kind):
+    """Edge-list text with blank lines, tabs, CRLF or LF, duplicate edges,
+    self-loops and, in half of the texts, comments.  ``kind`` adds one loop-only token ("token"), one
+    malformed line ("malformed") or one odd character ("char") at a random
+    position; "plain" adds nothing."""
+    pool = [rng.randrange(10 ** rng.randint(1, 12))
+            for _ in range(rng.randint(1, 12))]
+    comments = rng.random() < 0.5
+    lines = []
+    for _ in range(rng.randint(1, 30)):
+        r = rng.random()
+        if r < 0.1:
+            lines.append(rng.choice(["", "  ", "\t"]))
+        elif r < 0.2 and comments:
+            lines.append(rng.choice(["", " ", "\t "]) + "#"
+                         + rng.choice(["", " c", " 1 2 3", "#", " x\ty"]))
+        else:
+            pad = lambda: rng.choice(["", " ", "\t", "  "])  # noqa: E731
+            lines.append(f"{pad()}{rng.choice(pool)}{pad() or ' '}"
+                         f"{rng.choice(pool)}{pad()}")
+    i = rng.randrange(len(lines))
+    if kind == "token":
+        lines.insert(i, f"{rng.choice(LOOP_TOKENS)} {rng.choice(pool)}")
+    elif kind == "malformed":
+        lines.insert(i, rng.choice(MALFORMED))
+    elif kind == "char":
+        at = rng.randint(0, len(lines[i]))
+        lines[i] = lines[i][:at] + rng.choice(ODD_CHARS) + lines[i][at:]
+    end = rng.choice(["\n", "\r\n"])
+    return end.join(lines) + rng.choice(["", end])
+
+
+def _outcome(parse, text):
+    try:
+        n, edges, labels = parse(text)
+    except EdgeListError as exc:
+        return ("error", exc.line_no, str(exc))
+    return n, edges, list(labels.items())
+
+
+def _library(text):
+    g, labels = parse_edge_list(text)
+    return g.n, g.edges, labels
+
+
+@pytest.fixture
+def loop_calls(monkeypatch):
+    """Records each call of the line loop."""
+    loop = targetflow.graph._line_labels
+    calls = []
+    monkeypatch.setattr(targetflow.graph, "_line_labels",
+                        lambda lines: calls.append(1) or loop(lines))
+    return calls
+
+
+class TestParseMatchesReference:
+    @pytest.mark.parametrize("kind", ["plain", "token", "malformed", "char"])
+    def test_fuzz(self, kind, loop_calls, monkeypatch):
+        # let the numpy tokenizer take texts of any length
+        monkeypatch.setattr(targetflow.graph, "_LOOP_MAX_CHARS", 0)
+        rng = random.Random(f"parse-{kind}")
+        for case in range(500):
+            text = _fuzz_text(rng, kind)
+            want = _outcome(lambda t: parse_lines(t.splitlines()), text)
+            loop_calls.clear()
+            assert _outcome(_library, text) == want, text
+            # the numpy tokenizer takes the plain texts without comments and
+            # leaves comments, loop-only tokens and errors to the loop (a "\r"
+            # put before a line end makes a plain CRLF, so odd characters may
+            # go either way)
+            if kind != "char" and "#" not in text:
+                assert bool(loop_calls) == (kind != "plain"), text
+            assert (_outcome(lambda t: _library(io.StringIO(t)), text)
+                    == _outcome(lambda t: parse_lines(io.StringIO(t)), text))
+            assert _outcome(lambda t: _library(t.splitlines()), text) == want
+
+    def test_round_trip_at_10k(self, loop_calls):
+        g = generate_er(10_000, 3, 4)
+        rng = random.Random(4)
+        labels = dict(zip(rng.sample(range(10 ** 15), g.n), range(g.n)))
+        text = format_edge_list(g, labels)
+        n, edges, got = parse_lines(text.splitlines())
+        parsed, parsed_labels = parse_edge_list(text)
+        assert not loop_calls
+        assert (parsed.n, parsed.edges, list(parsed_labels.items())) == (
+            n, edges, list(got.items()))
+
+    def test_short_text_takes_line_loop(self, loop_calls):
+        assert parse_edge_list("1 2\n")[0].edges == ((0, 1),)
+        assert loop_calls
+
+
+class TestColumnsAndViews:
+    def test_lazy_views_match_eager_ones(self):
+        rng = random.Random(8)
+        for _ in range(200):
+            raw = random_graph(rng, 12, 30)
+            edges = list(raw.edges)
+            rng.shuffle(edges)
+            g = DiGraph(raw.n, edges)
+            assert g.edges == tuple(edges)
+            assert (g.out_adj, g.in_adj) == adjacency_lists(g.n, edges)
+            assert g.tail.tolist() == [t for t, _ in edges]
+            assert g.head.tolist() == [h for _, h in edges]
+
+    def test_equality_and_hash_are_order_blind(self):
+        rng = random.Random(9)
+        for _ in range(100):
+            raw = random_graph(rng, 10, 20)
+            edges = list(raw.edges)
+            rng.shuffle(edges)
+            g = DiGraph(raw.n, edges)
+            assert g == raw and hash(g) == hash(raw)
+            assert hash(g) == hash((raw.n, frozenset(edges)))
+            assert g != DiGraph(raw.n + 1, edges)
+            if edges:
+                assert g != DiGraph(raw.n, edges[1:])
+
+    def test_array_input_and_read_only_columns(self):
+        g = DiGraph(3, np.array([[0, 1], [2, 2]]))
+        assert g == DiGraph(3, [(0, 1), (2, 2)])
+        assert g.edges == ((0, 1), (2, 2))
+        with pytest.raises(ValueError):
+            g.tail[0] = 1
+        with pytest.raises(ValueError, match="pairs"):
+            DiGraph(3, [(0, 1, 2)])
+        with pytest.raises(ValueError, match="out of range"):
+            DiGraph(3, [(0, 1), (-1, 2)])
+
+    def test_format_matches_per_edge_formula(self):
+        rng = random.Random(10)
+        for _ in range(100):
+            g = random_graph(rng, 10, 20)
+            # labels up to 10^20, beyond int64
+            big = [v * 100 for v in rng.sample(range(10 ** 18), g.n)]
+            labels = dict(zip(big, range(g.n)))
+            name = {i: lab for lab, i in labels.items()}
+            assert format_edge_list(g) == "".join(
+                f"{t} {h}\n" for t, h in g.edges)
+            assert format_edge_list(g, labels) == "".join(
+                f"{name[t]} {name[h]}\n" for t, h in g.edges)
+
+
 class TestAdjacency:
     def test_identity_gives_self_loops(self):
         g = from_adjacency(np.eye(2))
@@ -114,6 +268,12 @@ class TestAdjacency:
         for _ in range(50):
             g = random_graph(rng, 7, 12)
             assert from_adjacency(to_adjacency(g)) == g
+
+    def test_edges_in_row_major_order(self):
+        a = np.random.default_rng(12).integers(0, 2, (8, 8))
+        rows, cols = np.nonzero(a)
+        assert from_adjacency(a).edges == tuple(zip(cols.tolist(),
+                                                    rows.tolist()))
 
 
 class TestGenerators:
