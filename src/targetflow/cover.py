@@ -23,7 +23,7 @@ import numpy as np
 
 from .flow import FlowAssignment, max_flow_dinic, min_flow_with_bounds
 from .graph import DiGraph, _repeats
-from .network import INF, Arc, BoundedFlowNetwork
+from .network import INF, BoundedFlowNetwork
 
 TAG_INJECT = "inject"
 TAG_COLLECT = "collect"
@@ -222,24 +222,22 @@ def build_circulation_network(g: DiGraph, targets) -> CirculationNetwork:
     bound one exactly on targets, one arc per graph edge, and an unbounded
     return arc from sink to source."""
     members = _checked_targets(g, targets)
-    tset = set(members)
-    n = g.n
+    n, m = g.n, g.tail.size
+    nodes = np.arange(n)
     src, snk = 2 * n, 2 * n + 1
-    arcs = []
-    for v in range(n):
-        arcs.append(Arc(src, v, 0, 1, TAG_SOURCE))
-    for v in range(n):
-        arcs.append(Arc(n + v, snk, 0, 1, TAG_SINK))
-    for v in range(n):
-        arcs.append(Arc(v, n + v, 1 if v in tset else 0, 1, TAG_SPLIT))
-    edge_start = len(arcs)
-    for t, h in g.edges:
-        arcs.append(Arc(n + t, h, 0, 1, TAG_EDGE))
-    return_arc = len(arcs)
-    arcs.append(Arc(snk, src, 0, INF, TAG_RETURN))
-    net = BoundedFlowNetwork(2 * n + 2, tuple(arcs), src, snk)
-    return CirculationNetwork(net, n, members, range(edge_start, return_arc),
-                              return_arc)
+    tail = np.concatenate((np.full(n, src), nodes + n, nodes, g.tail + n,
+                           [snk]))
+    head = np.concatenate((nodes, np.full(n, snk), nodes + n, g.head, [src]))
+    lower = np.zeros(tail.size, dtype=np.int64)
+    lower[2 * n + np.array(members)] = 1
+    cap = np.ones(tail.size, dtype=object)
+    cap[-1] = INF
+    net = BoundedFlowNetwork.from_columns(
+        2 * n + 2, src, snk, tail, head, lower, cap,
+        ((TAG_SOURCE, n), (TAG_SINK, n), (TAG_SPLIT, n), (TAG_EDGE, m),
+         (TAG_RETURN, 1)))
+    return CirculationNetwork(net, n, members, range(3 * n, 3 * n + m),
+                              3 * n + m)
 
 
 def solve_via_circulation(g: DiGraph, targets) -> Solution:

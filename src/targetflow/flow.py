@@ -15,11 +15,12 @@ yields the same flow assignment, not merely the same value.
 """
 
 from array import array
+from operator import add
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .network import INF, Arc, BoundedFlowNetwork, _column, _finite_caps
+from .network import INF, BoundedFlowNetwork, _column, _finite_caps
 
 
 class InfeasibleFlowError(RuntimeError):
@@ -189,9 +190,7 @@ class _ResidualDinic:
         return total
 
 
-def max_flow_dinic(net: BoundedFlowNetwork,
-                   source: int | None = None,
-                   sink: int | None = None) -> FlowAssignment:
+def max_flow_dinic(net: BoundedFlowNetwork) -> FlowAssignment:
     """Maximum integer flow on a network whose lower bounds are all zero.
 
     Repeated breadth-first level graphs with blocking flows on the residual
@@ -201,17 +200,11 @@ def max_flow_dinic(net: BoundedFlowNetwork,
         ValueError: a lower bound is nonzero, or a capacity (or the
             sentinel standing in for ``INF``) does not fit in int64.
     """
-    s = net.source if source is None else source
-    t = net.sink if sink is None else sink
-    if s == t:
-        raise ValueError("source equals sink")
-    if not (0 <= s < net.node_count and 0 <= t < net.node_count):
-        raise ValueError("source/sink out of range")
     if np.count_nonzero(net.lower):
         raise ValueError("max_flow_dinic requires all lower bounds zero")
     engine = _ResidualDinic(net.node_count, net.tail, net.head,
                             _finite_caps(net))
-    value = engine.max_flow(s, t)
+    value = engine.max_flow(net.source, net.sink)
     return FlowAssignment(tuple(engine.pushed()), value)
 
 
@@ -219,29 +212,23 @@ def build_associate_graph(net: BoundedFlowNetwork):
     """Lower-bound elimination transform.
 
     Adds a fresh source/sink pair; every original arc keeps its endpoints
-    with capacity ``cap - lower``, and each node gains an arc from the new
-    source with capacity equal to the sum of lower bounds entering it, plus
-    an arc to the new sink with capacity equal to the sum of lower bounds
-    leaving it.  Returns ``(plain_network, arc_map)`` where ``arc_map[i]``
-    is the index of the image of original arc ``i``.
+    and tag with capacity ``cap - lower``, and each node gains an arc from
+    the new source with capacity equal to the sum of lower bounds entering
+    it, plus an arc to the new sink with capacity equal to the sum of lower
+    bounds leaving it.  Returns ``(plain_network, arc_map)`` where
+    ``arc_map[i]`` is the index of the image of original arc ``i``.
     """
-    n = net.node_count
-    s_add, t_add = n, n + 1
-    in_lower = [0] * n
-    out_lower = [0] * n
-    arcs: list[Arc] = []
-    for a in net.arcs:
-        in_lower[a.head] += a.lower
-        out_lower[a.tail] += a.lower
-        cap = INF if a.cap == INF else a.cap - a.lower
-        arcs.append(Arc(a.tail, a.head, 0, cap, a.tag))
-    arc_map = tuple(range(len(arcs)))
-    for v in range(n):
-        arcs.append(Arc(s_add, v, 0, in_lower[v]))
-    for v in range(n):
-        arcs.append(Arc(v, t_add, 0, out_lower[v]))
-    plain = BoundedFlowNetwork(n + 2, tuple(arcs), s_add, t_add)
-    return plain, arc_map
+    n, m = net.node_count, net.tail.size
+    nodes = np.arange(n)
+    tail = np.concatenate((net.tail, np.full(n, n), nodes))
+    head = np.concatenate((net.head, nodes, np.full(n, n + 1)))
+    cap = np.concatenate((net.cap - net.lower,  # INF stays INF
+                          _node_sums(n, net.head, net.lower),
+                          _node_sums(n, net.tail, net.lower)))
+    plain = BoundedFlowNetwork.from_columns(
+        n + 2, n, n + 1, tail, head, np.zeros(tail.size, dtype=np.int64),
+        cap, net._tags)
+    return plain, range(m)
 
 
 def feasible_circulation(net: BoundedFlowNetwork) -> Optional[FlowAssignment]:
@@ -252,21 +239,17 @@ def feasible_circulation(net: BoundedFlowNetwork) -> Optional[FlowAssignment]:
     circulation is ``image flow + lower`` per arc.  The reported value is
     the flow returning from the network's sink to its source.
     """
-    plain, arc_map = build_associate_graph(net)
+    plain, _ = build_associate_graph(net)  # the images are its first arcs
     assignment = max_flow_dinic(plain)
-    lower_sum = sum(a.lower for a in net.arcs)
-    if assignment.value != lower_sum:
+    lower = net.lower.tolist()
+    if assignment.value != sum(lower):
         return None
-    flow = tuple(assignment.flow[arc_map[i]] + a.lower
-                 for i, a in enumerate(net.arcs))
-    value = sum(f for f, a in zip(flow, net.arcs)
-                if a.tail == net.sink and a.head == net.source)
-    return FlowAssignment(flow, value)
+    flow = tuple(map(add, assignment.flow, lower))
+    back = (net.tail == net.sink) & (net.head == net.source)
+    return FlowAssignment(flow, sum(flow[i] for i in np.flatnonzero(back)))
 
 
-def min_flow_with_bounds(net: BoundedFlowNetwork,
-                         source: int | None = None,
-                         sink: int | None = None) -> FlowAssignment:
+def min_flow_with_bounds(net: BoundedFlowNetwork) -> FlowAssignment:
     """Feasible flow of minimum source-to-sink value.
 
     First finds a feasible circulation (adding a temporary unbounded return
@@ -275,17 +258,17 @@ def min_flow_with_bounds(net: BoundedFlowNetwork,
     source.  The result's value is the circulation value minus the canceled
     amount, which is minimal among all feasible flows.
     """
-    s = net.source if source is None else source
-    t = net.sink if sink is None else sink
-
+    n, s, t, m = net.node_count, net.source, net.sink, net.tail.size
     back = np.flatnonzero((net.tail == t) & (net.head == s)
                           & (net.cap == INF) & (net.lower == 0))
     if back.size:
         work, return_pos = net, int(back[0])
     else:
-        work = BoundedFlowNetwork(net.node_count,
-                                  net.arcs + (Arc(t, s, 0, INF),), s, t)
-        return_pos = len(net.arcs)
+        work = BoundedFlowNetwork.from_columns(
+            n, s, t, np.append(net.tail, t), np.append(net.head, s),
+            np.append(net.lower, 0), np.append(net.cap.astype(object), INF),
+            net._tags)
+        return_pos = m
 
     circ = feasible_circulation(work)
     if circ is None:
@@ -298,21 +281,17 @@ def min_flow_with_bounds(net: BoundedFlowNetwork,
     fwd = _finite_caps(work) - flow
     rev = flow - work.lower
     fwd[return_pos] = rev[return_pos] = 0
-    engine = _ResidualDinic(net.node_count, work.tail, work.head, fwd, rev)
+    engine = _ResidualDinic(n, work.tail, work.head, fwd, rev)
     canceled = engine.max_flow(t, s)
     final = [f + d for f, d in zip(circ.flow, engine.pushed())]
     final[return_pos] = value0 - canceled
-    return FlowAssignment(tuple(final[: len(net.arcs)]), value0 - canceled)
+    return FlowAssignment(tuple(final[:m]), value0 - canceled)
 
 
 def validate_assignment(net: BoundedFlowNetwork,
-                        assignment: FlowAssignment,
-                        source: int | None = None,
-                        sink: int | None = None) -> None:
+                        assignment: FlowAssignment) -> None:
     """Raise ``ValueError`` unless bounds hold on every arc and every node
     other than source/sink conserves flow exactly."""
-    s = net.source if source is None else source
-    t = net.sink if sink is None else sink
     if len(assignment.flow) != net.tail.size:
         raise ValueError("flow vector length mismatch")
     flow = _column(assignment.flow)
@@ -324,8 +303,8 @@ def validate_assignment(net: BoundedFlowNetwork,
         raise ValueError(f"flow {flow[i]} violates bounds on {net.arcs[i]}")
     balance = (_node_sums(net.node_count, net.head, flow)
                - _node_sums(net.node_count, net.tail, flow))
-    ends = balance[[s, t]].tolist()
-    balance[[s, t]] = 0
+    ends = balance[[net.source, net.sink]].tolist()
+    balance[[net.source, net.sink]] = 0
     if balance.any():
         v = (balance != 0).argmax()
         raise ValueError(f"conservation violated at node {v}")

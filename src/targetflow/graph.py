@@ -52,8 +52,8 @@ class DiGraph:
 
     The edges are the read-only int64 columns ``tail`` and ``head``, in
     construction order (several algorithms use it as a deterministic
-    tie-break).  ``edges``, ``out_adj`` and ``in_adj`` are tuple views of
-    them, built on first access.  Equality is structural, i.e. order-blind.
+    tie-break).  ``edges`` and ``out_adj`` are tuple views of them, built
+    on first access.  Equality is structural, i.e. order-blind.
     """
 
     def __init__(self, n: int, edges):
@@ -90,11 +90,6 @@ class DiGraph:
     def out_adj(self) -> tuple[tuple[int, ...], ...]:
         """Each node's out-neighbours, in edge order."""
         return _grouped(self.n, self.tail, self.head)
-
-    @cached_property
-    def in_adj(self) -> tuple[tuple[int, ...], ...]:
-        """Each node's in-neighbours, in edge order."""
-        return _grouped(self.n, self.head, self.tail)
 
     def __eq__(self, other):
         if not isinstance(other, DiGraph):

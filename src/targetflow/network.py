@@ -7,7 +7,7 @@ larger than any achievable flow so that all arithmetic stays integral.
 
 import math
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, groupby, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -48,14 +48,14 @@ class BoundedFlowNetwork:
 
     The arcs are kept as read-only columns: ``tail`` and ``head`` in int64,
     ``lower`` and ``cap`` in int64 too unless some bound is ``INF`` or beyond
-    int64, which keeps that column as Python objects.  ``arcs`` gives them
-    as ``Arc`` tuples; a network made by :meth:`from_columns` builds that
-    tuple on first access.
+    int64, which keeps that column as Python objects.  Tags are kept as
+    (tag, count) runs in arc order.  ``arcs`` gives the arcs as ``Arc``
+    tuples, built on first access, however the network was made.
     """
 
     def __init__(self, node_count: int, arcs, source: int, sink: int):
-        self.arcs = tuple(arcs)
-        tail, head, lower, cap, _ = zip(*self.arcs) if self.arcs else ((),) * 5
+        tail, head, lower, cap, tags = tuple(zip(*arcs)) or ((),) * 5
+        self._tags = tuple((tag, len(list(run))) for tag, run in groupby(tags))
         self._init_columns(node_count, source, sink, tail, head, lower, cap)
 
     @classmethod

@@ -5,7 +5,8 @@ breadth-first distances, subset enumeration, one matrix exponential per
 quadrature sample, Runge-Kutta integration, per-line and per-arc loops)
 and shares no code with the library's solvers; the Gramian reference
 borrows only the library's ``expm``, the parser reference its
-``EdgeListError`` and the network reference its ``Arc`` tuple.
+``EdgeListError`` and the network references its ``Arc`` tuple and
+``INF``.
 """
 
 from collections import defaultdict, deque
@@ -14,7 +15,7 @@ import numpy as np
 
 from targetflow.certify import expm
 from targetflow.graph import EdgeListError
-from targetflow.network import Arc
+from targetflow.network import INF, Arc
 
 
 def parse_lines(lines):
@@ -48,13 +49,11 @@ def parse_lines(lines):
 
 
 def adjacency_lists(n, edges):
-    """Out- and in-neighbour tuples of every node, in edge order."""
+    """Out-neighbour tuples of every node, in edge order."""
     out_adj = [[] for _ in range(n)]
-    in_adj = [[] for _ in range(n)]
     for t, h in edges:
         out_adj[t].append(h)
-        in_adj[h].append(t)
-    return (tuple(map(tuple, out_adj)), tuple(map(tuple, in_adj)))
+    return tuple(map(tuple, out_adj))
 
 
 def target_network_arcs(g, targets):
@@ -68,6 +67,21 @@ def target_network_arcs(g, targets):
     arcs += [Arc(v, n + v, 0, 1, "relay") for v in range(n)
              if v not in members]
     arcs += [Arc(n + t, h, 0, 1, "edge") for t, h in g.edges]
+    return tuple(arcs)
+
+
+def circulation_network_arcs(g, targets):
+    """Arcs of the bounded circulation network, built one ``Arc`` at a
+    time: source and sink arcs per node, split arcs with lower bound one on
+    targets, one arc per graph edge, then the unbounded return arc."""
+    members = set(targets)
+    n = g.n
+    src, snk = 2 * n, 2 * n + 1
+    arcs = [Arc(src, v, 0, 1, "source") for v in range(n)]
+    arcs += [Arc(n + v, snk, 0, 1, "sink") for v in range(n)]
+    arcs += [Arc(v, n + v, int(v in members), 1, "split") for v in range(n)]
+    arcs += [Arc(n + t, h, 0, 1, "edge") for t, h in g.edges]
+    arcs.append(Arc(snk, src, 0, INF, "return"))
     return tuple(arcs)
 
 

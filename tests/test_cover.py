@@ -3,13 +3,18 @@ import random
 import pytest
 
 import targetflow.cover
-from targetflow import (DiGraph, PathCover, allocate_drivers,
-                        build_target_network, decompose_cover, driver_count,
-                        extract_cover_edges, generate_er, max_flow_dinic,
-                        solve, solve_via_circulation, verify_cover)
+import targetflow.flow
+from targetflow import (INF, Arc, BoundedFlowNetwork, DiGraph, PathCover,
+                        allocate_drivers, build_associate_graph,
+                        build_circulation_network, build_target_network,
+                        decompose_cover, driver_count, extract_cover_edges,
+                        generate_er, max_flow_dinic, min_flow_with_bounds,
+                        solve, solve_via_circulation, validate_assignment,
+                        verify_cover)
 
 from conftest import random_graph, random_targets
-from reference import min_cover_drivers, target_network_arcs
+from reference import (circulation_network_arcs, min_cover_drivers,
+                       target_network_arcs)
 
 
 class TestBuildTargetNetwork:
@@ -70,7 +75,7 @@ class TestBuildTargetNetwork:
         monkeypatch.setattr(targetflow.cover, "build_target_network",
                             lambda *args: nets.append(build(*args)) or nets[-1])
         solve(g, random.Random(6).sample(range(g.n), 1000))
-        assert not {"edges", "out_adj", "in_adj"} & vars(g).keys()
+        assert not {"edges", "out_adj"} & vars(g).keys()
         assert "arcs" not in vars(nets[0].net)
 
 
@@ -230,6 +235,88 @@ class TestCirculationRoute:
             assert a.min_drivers == b.min_drivers
             assert a.flow_value == b.flow_value
             assert verify_cover(g, targets, b.cover)
+
+    @pytest.mark.parametrize("fraction, seed", [(0.1, 1), (0.5, 2), (1.0, 3)])
+    def test_agrees_with_direct_route_at_2000(self, fraction, seed):
+        # far past the exhaustive oracles' n <= 12
+        g = generate_er(2000, 3, seed)
+        targets = random.Random(seed).sample(range(g.n), int(fraction * g.n))
+        a = solve(g, targets)
+        b = solve_via_circulation(g, targets)
+        assert (a.min_drivers, a.flow_value) == (b.min_drivers, b.flow_value)
+        net = build_circulation_network(g, targets).net
+        validate_assignment(net, min_flow_with_bounds(net))
+        assert verify_cover(g, targets, a.cover)
+        assert verify_cover(g, targets, b.cover)
+
+    def test_arcs_match_per_arc_builder(self):
+        rng = random.Random(23)
+        for _ in range(300):
+            g = random_graph(rng, 12, 30)
+            targets = random_targets(rng, g.n)
+            cnet = build_circulation_network(g, targets)
+            want = circulation_network_arcs(g, targets)
+            assert cnet.net.arcs == want
+            assert [want[i] for i in cnet.edge_arcs] == [
+                a for a in want if a.tag == "edge"]
+            assert want[cnet.return_arc].tag == "return"
+            assert (cnet.net.node_count, cnet.net.source, cnet.net.sink) == (
+                2 * g.n + 2, 2 * g.n, 2 * g.n + 1)
+
+
+def _recording(monkeypatch, module, name, seen, pick):
+    """Replace ``module.name`` by a wrapper that appends
+    ``pick(args, result)`` to ``seen``."""
+    real = getattr(module, name)
+
+    def wrapper(*args):
+        out = real(*args)
+        seen.append(pick(args, out))
+        return out
+    monkeypatch.setattr(module, name, wrapper)
+
+
+class TestColumnNetworks:
+    def test_circulation_route_builds_no_arc_tuples(self, monkeypatch):
+        g = generate_er(10_000, 3, 5)
+        circ, work, plain = [], [], []
+        _recording(monkeypatch, targetflow.cover, "build_circulation_network",
+                   circ, lambda args, cnet: cnet.net)
+        _recording(monkeypatch, targetflow.flow, "feasible_circulation",
+                   work, lambda args, _: args[0])
+        _recording(monkeypatch, targetflow.flow, "build_associate_graph",
+                   plain, lambda args, out: out[0])
+        solve_via_circulation(g, random.Random(6).sample(range(g.n), 1000))
+        for net in circ + work + plain:
+            assert "arcs" not in vars(net)
+        assert circ and work and plain
+
+    def test_constructor_keeps_arcs_and_tag_runs(self):
+        arcs = (Arc(0, 1, 0, 1, "a"), Arc(0, 2, 1, 2, "a"), Arc(1, 2),
+                Arc(2, 3, 0, INF), Arc(1, 3, 0, 1, "b"), Arc(2, 3, 0, 1, "a"),
+                Arc(1, 2, 0, 3))
+        net = BoundedFlowNetwork(4, arcs, 0, 3)
+        assert "arcs" not in vars(net)
+        assert net.arcs == arcs
+        assert BoundedFlowNetwork(4, iter(arcs), 0, 3).arcs == arcs
+        assert BoundedFlowNetwork(4, (), 0, 3).arcs == ()
+
+    def test_tags_pass_into_derived_networks(self, monkeypatch, canonical):
+        g, targets = canonical
+        cnet = build_circulation_network(g, targets)
+        plain, arc_map = build_associate_graph(cnet.net)
+        m = len(cnet.net.arcs)
+        assert [plain.arcs[i].tag for i in arc_map] == [
+            a.tag for a in cnet.net.arcs]
+        assert all(a.tag is None for a in plain.arcs[m:])
+        # a network without a return arc gets an untagged one to work on
+        arcs = (Arc(0, 1, 1, 1, "a"), Arc(1, 2, 0, 1), Arc(1, 2, 1, 1, "b"))
+        net = BoundedFlowNetwork(3, arcs, 0, 2)
+        work = []
+        _recording(monkeypatch, targetflow.flow, "feasible_circulation",
+                   work, lambda args, _: args[0])
+        min_flow_with_bounds(net)
+        assert work[0].arcs == arcs + (Arc(2, 0, 0, INF),)
 
 
 class TestAllocate:

@@ -53,6 +53,13 @@ class TestNetworkValidation:
         with pytest.raises(ValueError):
             BoundedFlowNetwork(2, (), 0, 0)
 
+    def test_source_sink_checked_at_construction(self):
+        arcs = (Arc(0, 1),)
+        with pytest.raises(ValueError, match="must differ"):
+            BoundedFlowNetwork(2, arcs, 0, 0)
+        with pytest.raises(ValueError, match="out of range"):
+            BoundedFlowNetwork(2, arcs, 0, 2)
+
 
 class TestMaxFlow:
     def test_single_arc(self):
@@ -64,11 +71,6 @@ class TestMaxFlow:
         net = BoundedFlowNetwork(
             4, (Arc(0, 1), Arc(0, 2), Arc(1, 3), Arc(2, 3)), 0, 3)
         assert max_flow_dinic(net).value == 2
-
-    def test_source_equals_sink_rejected(self):
-        net = BoundedFlowNetwork(2, (Arc(0, 1),), 0, 1)
-        with pytest.raises(ValueError):
-            max_flow_dinic(net, 0, 0)
 
     def test_lower_bounds_rejected(self):
         net = BoundedFlowNetwork(2, (Arc(0, 1, 1, 1),), 0, 1)

@@ -39,12 +39,10 @@ class TestDiGraph:
     def test_self_loops_allowed(self):
         g = DiGraph(2, [(1, 1)])
         assert g.out_adj[1] == (1,)
-        assert g.in_adj[1] == (1,)
 
     def test_adjacency_mirrors_edges(self):
         g = DiGraph(4, [(0, 1), (0, 2), (2, 1)])
         assert g.out_adj == ((1, 2), (), (1,), ())
-        assert g.in_adj == ((), (0, 2), (0,), ())
 
 
 class TestParse:
@@ -202,7 +200,7 @@ class TestColumnsAndViews:
             rng.shuffle(edges)
             g = DiGraph(raw.n, edges)
             assert g.edges == tuple(edges)
-            assert (g.out_adj, g.in_adj) == adjacency_lists(g.n, edges)
+            assert g.out_adj == adjacency_lists(g.n, edges)
             assert g.tail.tolist() == [t for t, _ in edges]
             assert g.head.tolist() == [h for _, h in edges]
 
