@@ -51,8 +51,9 @@ def _distinct(nodes):
     do, but it imports ``numpy.ma`` (about 1.7 MB resident with numpy 2.4),
     which a small solve would pay for in peak memory."""
     nodes = np.sort(nodes)
-    keep = np.ones(nodes.size, dtype=bool)
-    keep[1:] = nodes[1:] != nodes[:-1]
+    keep = np.empty(nodes.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(nodes[1:], nodes[:-1], out=keep[1:])
     return nodes[keep]
 
 
@@ -81,12 +82,12 @@ class _ResidualDinic:
         heads = np.empty(2 * m, dtype=np.int64)
         heads[0::2] = head
         heads[1::2] = tail
-        self._head_np = heads
-        self._tail_np = heads[np.arange(2 * m) ^ 1]
-        self._adj_np = np.argsort(self._tail_np, kind="stable")
-        self._indptr_np = np.concatenate(
-            ([0], np.cumsum(np.bincount(self._tail_np, minlength=n))))
-        self.cap = array("q", bytes(16 * m))
+        self._head_np = heads  # the tail of slot q is the head of q ^ 1
+        tails = heads.reshape(-1, 2)[:, ::-1].ravel()
+        self._adj_np = np.argsort(tails, kind="stable")
+        self._deg = np.bincount(tails, minlength=n)
+        self._indptr_np = np.concatenate(([0], self._deg.cumsum()))
+        self.cap = array("q", [0]) * (2 * m)
         self._cap_np = np.frombuffer(self.cap, dtype=np.int64)
         try:
             self._cap_np[0::2] = fwd
@@ -104,10 +105,10 @@ class _ResidualDinic:
     def _gather(self, frontier):
         """Slots leaving the ``frontier`` nodes, node by node."""
         starts = self._indptr_np[frontier]
-        counts = self._indptr_np[frontier + 1] - starts
-        ends = np.cumsum(counts)
+        counts = self._deg[frontier]
+        ends = counts.cumsum()
         return self._adj_np[np.arange(ends[-1])
-                            + np.repeat(starts - ends + counts, counts)]
+                            + (starts - ends + counts).repeat(counts)]
 
     def max_flow(self, s: int, t: int) -> int:
         total = 0
@@ -140,10 +141,10 @@ class _ResidualDinic:
         while layers:
             pos = layers.pop()
             pos = pos[alive[self._head_np[pos]]]
-            alive[self._tail_np[pos]] = True
+            alive[self._head_np[pos ^ 1]] = True
             kept.append(pos)
         flat = np.concatenate(kept)
-        tails = self._tail_np[flat]
+        tails = self._head_np[flat ^ 1]
         indptr = np.flatnonzero(np.diff(tails, prepend=-1, append=-1))
         local = np.empty(self.n, dtype=np.int64)
         local[tails[indptr[:-1]]] = np.arange(indptr.size - 1)

@@ -6,7 +6,6 @@ labels onto them and reports the mapping.
 """
 
 import random
-from bisect import bisect_right
 from functools import cached_property
 from itertools import accumulate
 
@@ -230,12 +229,35 @@ def to_adjacency(g: DiGraph) -> np.ndarray:
     return a
 
 
+def _words(rng, count):
+    """The next ``count`` 32-bit outputs of ``rng``'s Mersenne Twister in
+    draw order, which ``getrandbits`` lays out from the low word up."""
+    bits = rng.getrandbits(32 * count)
+    return np.frombuffer(bits.to_bytes(4 * count, "little"), dtype="<u4")
+
+
+def _first_pairs(n, target, draw, budget=None):
+    """The first ``target`` pairs of consecutive ``draw`` values that are no
+    self-loop and no repeat, among its first ``budget`` pairs: what a loop
+    drawing one pair at a time keeps.  ``draw(k)`` adds about ``k`` pairs."""
+    vals, tries = np.empty(0, dtype=np.int64), target + target // 32 + 64
+    while True:
+        vals = np.concatenate((vals, draw(tries)))
+        pairs = vals[:vals.size // 2 * 2].reshape(-1, 2)[:budget]
+        t, h = pairs.T
+        keep = np.flatnonzero((t != h) & ~_repeats(t * n + h))
+        if keep.size >= target or len(pairs) == budget:
+            return pairs[keep[:target]]
+        tries = len(pairs)
+
+
 def generate_er(n: int, mu: float, seed: int) -> DiGraph:
     """Uniform random digraph with mean total degree ``mu``.
 
     Draws ``round(n * mu / 2)`` distinct directed edges uniformly without
     replacement from all ordered pairs excluding self-loops.  Deterministic
-    for a fixed seed.
+    for a fixed seed: the pairs of ``random.Random(seed).randrange(n)`` that
+    a loop drawing one pair at a time keeps, replayed in bulk.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -250,15 +272,14 @@ def generate_er(n: int, mu: float, seed: int) -> DiGraph:
         # dense regime: sample directly from the enumerated pair space
         pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
         return DiGraph(n, rng.sample(pairs, target))
-    chosen = set()
-    edges = []
-    while len(edges) < target:
-        t = rng.randrange(n)
-        h = rng.randrange(n)
-        if t != h and (t, h) not in chosen:
-            chosen.add((t, h))
-            edges.append((t, h))
-    return DiGraph(n, edges)
+    k = n.bit_length()
+
+    def draw(tries):
+        if k > 32:  # a draw takes more than one word
+            return np.array([rng.randrange(n) for _ in range(2 * tries)])
+        w = _words(rng, (2 * tries << k) // n + 1) >> (32 - k)
+        return w[w < n].astype(np.int64)  # as randrange(n) rejects w >= n
+    return DiGraph(n, _first_pairs(n, target, draw))
 
 
 def generate_sf(n: int, mu: float, gamma: float, seed: int) -> DiGraph:
@@ -267,11 +288,13 @@ def generate_sf(n: int, mu: float, gamma: float, seed: int) -> DiGraph:
     Node weights follow ``(i + 1) ** (-1 / (gamma - 1))``; each of the
     ``round(n * mu / 2)`` edges picks tail and head independently with
     probability proportional to the weights, rejecting self-loops and
-    duplicates.  Deterministic for a fixed seed.
+    duplicates.  Deterministic for a fixed seed: each end bisects the
+    cumulative weights at ``random() * total``, as a loop drawing one pair
+    at a time from ``random.Random(seed)`` would, replayed in bulk.
 
     Raises:
-        ValueError: gamma <= 2, n < 2, or the rejection loop exceeding
-            ``100 * L`` attempts.
+        ValueError: gamma <= 2 or n < 2.
+        RuntimeError: the rejection loop exceeding ``100 * L`` attempts.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -284,20 +307,16 @@ def generate_sf(n: int, mu: float, gamma: float, seed: int) -> DiGraph:
         raise ValueError(f"cannot place {target} distinct edges in a "
                          f"{n}-node loopless digraph")
     alpha = 1.0 / (gamma - 1.0)
-    cum = list(accumulate((i + 1) ** (-alpha) for i in range(n)))
-    total = cum[-1]
+    # Python's power and sum, to the last ulp: numpy's power can differ
+    cum = np.array(list(accumulate((i + 1) ** (-alpha) for i in range(n))))
     rng = random.Random(seed)
-    chosen = set()
-    edges = []
-    budget = 100 * max(target, 1)
-    while len(edges) < target:
-        if budget <= 0:
-            raise RuntimeError(f"edge sampling did not converge within "
-                               f"{100 * max(target, 1)} attempts")
-        budget -= 1
-        t = bisect_right(cum, rng.random() * total)
-        h = bisect_right(cum, rng.random() * total)
-        if t != h and (t, h) not in chosen:
-            chosen.add((t, h))
-            edges.append((t, h))
+
+    def draw(tries):
+        w = _words(rng, 4 * tries).reshape(-1, 2)  # two words per random()
+        u = ((w[:, 0] >> 5) * 67108864.0 + (w[:, 1] >> 6)) / 2.0 ** 53
+        return np.searchsorted(cum, u * cum[-1], side="right")
+    edges = _first_pairs(n, target, draw, 100 * max(target, 1))
+    if len(edges) < target:
+        raise RuntimeError(f"edge sampling did not converge within "
+                           f"{100 * max(target, 1)} attempts")
     return DiGraph(n, edges)

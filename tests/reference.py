@@ -9,7 +9,10 @@ borrows only the library's ``expm``, the parser reference its
 ``INF``.
 """
 
+import random
+from bisect import bisect_right
 from collections import defaultdict, deque
+from itertools import accumulate
 
 import numpy as np
 
@@ -46,6 +49,50 @@ def parse_lines(lines):
             seen.add(e)
             edges.append(e)
     return len(labels), tuple(edges), labels
+
+
+def er_edges(n, mu, seed):
+    """Edges of ``generate_er(n, mu, seed)``, drawn one pair at a time:
+    ``randrange`` tail, then head, kept unless a self-loop or a repeat."""
+    target = round(n * mu / 2)
+    rng = random.Random(seed)
+    if 2 * target >= n * (n - 1):
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        return rng.sample(pairs, target)
+    chosen = set()
+    edges = []
+    while len(edges) < target:
+        t = rng.randrange(n)
+        h = rng.randrange(n)
+        if t != h and (t, h) not in chosen:
+            chosen.add((t, h))
+            edges.append((t, h))
+    return edges
+
+
+def sf_edges(n, mu, gamma, seed):
+    """Edges of ``generate_sf(n, mu, gamma, seed)``, drawn one pair at a
+    time by bisection over the cumulative weights, with the same attempt
+    budget and ``RuntimeError``."""
+    target = round(n * mu / 2)
+    alpha = 1.0 / (gamma - 1.0)
+    cum = list(accumulate((i + 1) ** (-alpha) for i in range(n)))
+    total = cum[-1]
+    rng = random.Random(seed)
+    chosen = set()
+    edges = []
+    budget = 100 * max(target, 1)
+    while len(edges) < target:
+        if budget <= 0:
+            raise RuntimeError(f"edge sampling did not converge within "
+                               f"{100 * max(target, 1)} attempts")
+        budget -= 1
+        t = bisect_right(cum, rng.random() * total)
+        h = bisect_right(cum, rng.random() * total)
+        if t != h and (t, h) not in chosen:
+            chosen.add((t, h))
+            edges.append((t, h))
+    return edges
 
 
 def adjacency_lists(n, edges):

@@ -1,8 +1,11 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from targetflow import (PathCover, format_edge_list, generate_er,
                         parse_edge_list, solve, verify_cover)
@@ -100,6 +103,35 @@ class TestGenCommand:
         run(capsys, "gen", "er", "--n", "50", "--mu", "2", "--seed", "9",
             "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    # SHA-256 of the stdout of ``targetflow gen KIND --n N --mu 3 --seed S``
+    # (default gamma 3), recorded from the generators' per-edge loops
+    GOLDEN_GEN = {
+        ("er", 1000, 1):
+            "47084135f364819ecf1950e9a85505634bd671f5eb5ca5f63c6e92af271b17ff",
+        ("er", 1000, 2):
+            "0be8ec4ccd9c4e6021af222965d8f83161df3c0abf785294afbff43fa69d6991",
+        ("er", 20000, 1):
+            "50ac5878d5a1ca2f2a606556e184dd220cc47c2272d285d314d3ce38e4c4bdc8",
+        ("er", 20000, 2):
+            "64bfbc56caeab56705428bd3a84ba1fd4cdd61e4cb3435f00f0e8800090ffd1c",
+        ("sf", 1000, 1):
+            "4cf027d4eff2cbd1296c6ae1ef750e874d6ca6d347d1ea02de2c4e86af74571f",
+        ("sf", 1000, 2):
+            "ba189e7e6d4ee7c4f8e88d0fd1965a6f93e4ba2e6fce54872770eb9d106577bc",
+        ("sf", 20000, 1):
+            "418000e61c56b18476f76075af3996809e41d6d5aaa4314662564c360147a02a",
+        ("sf", 20000, 2):
+            "903d7d1c7f32c91d2fd55f7971df18a7e30f31544a331a8e668f2c8b23dd6ead",
+    }
+
+    @pytest.mark.parametrize("kind, n, seed", sorted(GOLDEN_GEN))
+    def test_golden_stdout(self, capsys, kind, n, seed):
+        code, out = run(capsys, "gen", kind, "--n", str(n), "--mu", "3",
+                        "--seed", str(seed))
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == self.GOLDEN_GEN[kind, n, seed]
 
     def test_generated_graph_round_trips(self, capsys, tmp_path):
         out_path = tmp_path / "er.txt"
@@ -199,6 +231,14 @@ class TestSweepCommand:
         code, out = run(capsys, "sweep", "--graph", GRAPH,
                         "--fractions", "1.0", "--trials", "1")
         assert code == 0
+
+    @pytest.mark.parametrize("kind", ["er", "sf"])
+    def test_golden_csv(self, capsys, kind):
+        # recorded from the generators' per-edge loops, default fractions
+        code, out = run(capsys, "sweep", "--gen", kind, "--n", "300",
+                        "--trials", "5", "--seed", "7")
+        assert code == 0
+        assert out == (DATA / f"sweep_{kind}300_seed7.csv").read_text()
 
     def test_reproducible_bytes(self, capsys):
         args = ("sweep", "--gen", "er", "--n", "50", "--mu", "2",

@@ -451,25 +451,25 @@ def _deep_thin_instance(length, size, seed):
     return BoundedFlowNetwork(t + 1, tuple(arcs), 0, t)
 
 
-def _first_phase_slots(net):
-    """(tail, slot) pairs that the first phase's DFS scans, node by node in
-    ascending node order; ``None`` when the sink is out of reach.  Checks
-    that the phase's own node ids name distinct network nodes, that each
-    node's slots leave it, that ``nxt`` names each slot's head, and that
-    the source and the sink come last."""
-    engine = _ResidualDinic(net.node_count, net.tail, net.head,
-                            _finite_caps(net))
-    csr = engine._phase_csr(net.source, net.sink)
+def _phase_slots(engine, s, t):
+    """The next phase of ``engine`` as the (tail, slot) pairs that its DFS
+    scans, node by node in ascending node order, and its CSR; ``None`` for
+    both when the sink is out of reach.  Checks that the phase's own node
+    ids name distinct network nodes, that each node's slots leave it, that
+    ``nxt`` names each slot's head, and that the source and the sink come
+    last."""
+    csr = engine._phase_csr(s, t)
     if csr is None:
-        return None
+        return None, None
     flat, nxt, indptr = csr
-    tails, heads = engine._tail_np.tolist(), engine._head_np.tolist()
+    heads = engine._head_np.tolist()
+    tails = [heads[q ^ 1] for q in range(len(heads))]
     rows = [flat[a:b] for a, b in zip(indptr, indptr[1:])]
-    nodes = [tails[row[0]] for row in rows] + [net.sink]
+    nodes = [tails[row[0]] for row in rows] + [t]
     assert all(tails[q] == u for u, row in zip(nodes, rows) for q in row)
     assert [nodes[v] for v in nxt] == [heads[q] for q in flat]
-    assert len(set(nodes)) == len(nodes) and nodes[-2] == net.source
-    return [(u, q) for u, row in sorted(zip(nodes, rows)) for q in row]
+    assert len(set(nodes)) == len(nodes) and nodes[-2] == s
+    return [(u, q) for u, row in sorted(zip(nodes, rows)) for q in row], csr
 
 
 def _slot_case(name):
@@ -481,25 +481,36 @@ def _slot_case(name):
 
 
 # small random networks, single networks of 2500 to 3000 arcs, and a
-# phase of about 500 layers
+# phase of about 500 layers.  Every phase is checked, the first and each
+# one after a blocking flow, against the residual it starts from.
 @pytest.mark.parametrize("name", ["unit", "unit_midsize", "general",
                                   "general_midsize", "dead_end", "deep_thin"])
 def test_first_phase_scans_only_shortest_path_slots(name):
     for net in _slot_case(name):
-        slots = []
-        for a in net.arcs:
-            slots += [(a.tail, a.head, a.cap), (a.head, a.tail, 0)]
-        # the reference gives no slots exactly when the sink is out of reach
-        assert _first_phase_slots(net) == (shortest_path_slots(
-            slots, net.source, net.sink) or None)
+        s, t = net.source, net.sink
+        engine = _ResidualDinic(net.node_count, net.tail, net.head,
+                                _finite_caps(net))
+        heads = engine._head_np.tolist()
+        while True:
+            slots = [(heads[q ^ 1], heads[q], c)
+                     for q, c in enumerate(engine.cap)]
+            scanned, csr = _phase_slots(engine, s, t)
+            # the reference gives no slots exactly when the sink is out of
+            # reach
+            assert scanned == (shortest_path_slots(slots, s, t) or None)
+            if csr is None:
+                break
+            engine._blocking_flow(*csr)
 
 
 def test_phase_without_path_to_sink_is_none():
     # the dead-end network without the arcs into its sink
     net = _dead_end_instance(1000, 4)
     arcs = tuple(a for a in net.arcs if a.head != net.sink)
-    assert _first_phase_slots(
-        BoundedFlowNetwork(net.node_count, arcs, 0, net.sink)) is None
+    cut = BoundedFlowNetwork(net.node_count, arcs, 0, net.sink)
+    engine = _ResidualDinic(cut.node_count, cut.tail, cut.head,
+                            _finite_caps(cut))
+    assert _phase_slots(engine, cut.source, cut.sink) == (None, None)
 
 
 def _augmenting_path_exists(net, fa):

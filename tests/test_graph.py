@@ -10,7 +10,7 @@ from targetflow import (DiGraph, EdgeListError, format_edge_list,
                         parse_edge_list, to_adjacency)
 
 from conftest import CANONICAL_EDGES, random_graph
-from reference import adjacency_lists, parse_lines
+from reference import adjacency_lists, er_edges, parse_lines, sf_edges
 
 # 9-node instance adjacency, row 6 reconciled so that solving it reproduces
 # the known single-driver answer (entry (6,3) added).
@@ -300,6 +300,57 @@ class TestGenerators:
     def test_sf_gamma_guard(self):
         with pytest.raises(ValueError, match="gamma"):
             generate_sf(100, 3.0, 2.0, seed=0)
+
+    # the word filter of ``randrange`` changes at powers of two
+    GRID_N = sorted({2, 3, 1000} | {2 ** j + d for j in (2, 3, 5, 8, 10, 13)
+                                    for d in (-1, 0, 1)})
+
+    @pytest.mark.parametrize("n", GRID_N)
+    def test_er_matches_per_edge_loop(self, n):
+        for mu in (0.5, 1, 3, 6):
+            if round(n * mu / 2) > n * (n - 1):
+                continue
+            for seed in (0, 1):
+                assert generate_er(n, mu, seed).edges == tuple(
+                    er_edges(n, mu, seed))
+
+    @pytest.mark.parametrize("n", GRID_N)
+    def test_sf_matches_per_edge_loop(self, n):
+        for mu in (0.5, 1, 3, 6):
+            if round(n * mu / 2) > n * (n - 1):
+                continue
+            for gamma in (2.2, 3.0):
+                for seed in (0, 1):
+                    assert generate_sf(n, mu, gamma, seed).edges == tuple(
+                        sf_edges(n, mu, gamma, seed))
+
+    def test_er_beyond_one_word_per_draw(self):
+        # n > 2**32: each randrange takes two words
+        n = 2 ** 32 + 1
+        assert generate_er(n, 2e-9, 5).edges == tuple(er_edges(n, 2e-9, 5))
+
+    def test_sf_attempt_budget_matches_per_edge_loop(self):
+        # every ordered pair of 60 nodes is wanted; seed 0 finds them all
+        # within the 354000 attempts, seed 3 does not
+        assert generate_sf(60, 118, 2.001, 0).edges == tuple(
+            sf_edges(60, 118, 2.001, 0))
+        with pytest.raises(RuntimeError) as loop:
+            sf_edges(60, 118, 2.001, 3)
+        with pytest.raises(RuntimeError) as replay:
+            generate_sf(60, 118, 2.001, 3)
+        assert str(replay.value) == str(loop.value) == (
+            "edge sampling did not converge within 354000 attempts")
+
+    @pytest.mark.parametrize("budget, kept", [(5, [[0, 1]]), (4, [])])
+    def test_pair_budget_counts_every_attempt(self, budget, kept):
+        # four self-loops, then the first pair to keep, then self-loops
+        stream = iter([[0, 0] * 4 + [0, 1]])
+
+        def draw(tries):
+            return np.array(next(stream, []) + [1, 1] * tries)
+
+        edges = targetflow.graph._first_pairs(2, 1, draw, budget)
+        assert edges.tolist() == kept
 
     def test_sf_tail_heavier_than_er(self):
         # max total degree of the static model strictly exceeds the uniform
