@@ -17,6 +17,7 @@ Two equivalent routes are provided:
   directly.  It must agree with :func:`solve` and exists as a cross-check.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,7 +96,10 @@ class CirculationNetwork:
 
 
 def _checked_targets(g: DiGraph, targets) -> tuple[int, ...]:
-    members = sorted(set(int(v) for v in targets))
+    try:  # index() takes Python and numpy integers, not a float or string
+        members = sorted(set(operator.index(v) for v in targets))
+    except TypeError:
+        raise ValueError("target ids must be integers") from None
     if not members:
         raise ValueError("empty target set")
     if members[0] < 0 or members[-1] >= g.n:

@@ -38,30 +38,25 @@ def _repeats(keys):
     return rep
 
 
-def _grouped(n, key, value):
-    """Entries of ``value`` grouped by ``key`` in ``0 .. n-1``, each group
-    in array order, as a tuple of tuples."""
-    items = value[np.argsort(key, kind="stable")].tolist()
-    ends = np.cumsum(np.bincount(key, minlength=n)).tolist()
-    return tuple(tuple(items[a:b]) for a, b in zip([0] + ends, ends))
-
-
 class DiGraph:
     """Immutable directed graph over nodes ``0 .. n-1``.
 
     The edges are the read-only int64 columns ``tail`` and ``head``, in
     construction order (several algorithms use it as a deterministic
-    tie-break).  ``edges`` and ``out_adj`` are tuple views of them, built
-    on first access.  Equality is structural, i.e. order-blind.
+    tie-break).  ``edges`` is the tuple view of them, built on first
+    access.  Equality is structural, i.e. order-blind.
     """
 
     def __init__(self, n: int, edges):
-        """``edges``: (tail, head) pairs, or an m-by-2 integer array."""
+        """``edges``: (tail, head) pairs, or an m-by-2 array, of integers."""
         if n < 0:
             raise ValueError("node count must be non-negative")
         if not isinstance(edges, np.ndarray):
             edges = list(edges)
-        pairs = np.array(edges, dtype=np.int64)
+        pairs = np.asarray(edges)
+        if pairs.size and pairs.dtype.kind not in "biu":
+            raise ValueError(f"node ids must be integers, got {pairs.dtype}")
+        pairs = pairs.astype(np.int64)
         if pairs.size == 0:
             pairs = pairs.reshape(0, 2)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -84,11 +79,6 @@ class DiGraph:
     def edges(self) -> tuple[tuple[int, int], ...]:
         """The (tail, head) pairs in construction order."""
         return tuple(zip(self.tail.tolist(), self.head.tolist()))
-
-    @cached_property
-    def out_adj(self) -> tuple[tuple[int, ...], ...]:
-        """Each node's out-neighbours, in edge order."""
-        return _grouped(self.n, self.tail, self.head)
 
     def __eq__(self, other):
         if not isinstance(other, DiGraph):

@@ -3,17 +3,17 @@
 A directed graph's minimum driver count is ``max(n - m, 1)`` where ``m``
 is the size of a maximum matching on its bipartite double cover (out-copy
 of each node on the left, in-copy on the right, one bipartite edge per
-directed edge).  Used to normalize target-subset results and as the
-``targets = all nodes`` consistency check for the flow route.
+directed edge).  That matching is the maximum flow of the target network
+with every node a target: its unit inject and collect arcs let each node
+be a tail once and a head once, so the edges carrying flow are a maximum
+matching.  Used to normalize target-subset results.
 """
 
-from collections import deque
 from typing import NamedTuple
 
+from .cover import build_target_network, extract_cover_edges
+from .flow import max_flow_dinic
 from .graph import DiGraph
-
-_UNMATCHED = -1
-_INFTY = -2
 
 
 class Matching(NamedTuple):
@@ -24,75 +24,19 @@ class Matching(NamedTuple):
 
 
 def max_matching(g: DiGraph) -> Matching:
-    """Maximum matching on the bipartite double cover, by Hopcroft-Karp.
+    """Maximum matching on the bipartite double cover, as the all-target
+    maximum flow.
 
-    Left vertices are scanned in ascending node id and adjacency in edge
-    insertion order, so the returned matching is deterministic for a given
-    graph, not merely of fixed size.
+    The pairs come in edge order.  The engine's arc order fixes them for a
+    given graph, so the matching is deterministic, not merely of fixed
+    size.
     """
-    n = g.n
-    adj = g.out_adj
-    pair_l = [_UNMATCHED] * n  # tail -> matched head
-    pair_r = [_UNMATCHED] * n  # head -> matched tail
-    dist = [0] * n
-    size = 0
-    while _hk_bfs(n, adj, pair_l, pair_r, dist):
-        for u in range(n):
-            if pair_l[u] == _UNMATCHED and _hk_dfs(u, adj, pair_l, pair_r, dist):
-                size += 1
-    pairs = tuple((u, pair_l[u]) for u in range(n) if pair_l[u] != _UNMATCHED)
-    return Matching(pairs, size)
-
-
-def _hk_bfs(n, adj, pair_l, pair_r, dist) -> bool:
-    q = deque()
-    for u in range(n):
-        if pair_l[u] == _UNMATCHED:
-            dist[u] = 0
-            q.append(u)
-        else:
-            dist[u] = _INFTY
-    reachable_free = False
-    while q:
-        u = q.popleft()
-        for v in adj[u]:
-            w = pair_r[v]
-            if w == _UNMATCHED:
-                reachable_free = True
-            elif dist[w] == _INFTY:
-                dist[w] = dist[u] + 1
-                q.append(w)
-    return reachable_free
-
-
-def _hk_dfs(root, adj, pair_l, pair_r, dist) -> bool:
-    # Iterative alternating-path search; stack entries are (left node,
-    # adjacency position).
-    stack = [(root, 0)]
-    while stack:
-        u, i = stack[-1]
-        advanced = False
-        while i < len(adj[u]):
-            v = adj[u][i]
-            i += 1
-            w = pair_r[v]
-            if w == _UNMATCHED:
-                # augment along the stack
-                stack[-1] = (u, i)
-                for uu, _ in reversed(stack):
-                    nv, v = v, pair_l[uu]
-                    pair_l[uu] = nv
-                    pair_r[nv] = uu
-                return True
-            if dist[w] == dist[u] + 1:
-                stack[-1] = (u, i)
-                stack.append((w, 0))
-                advanced = True
-                break
-        if not advanced:
-            dist[u] = _INFTY
-            stack.pop()
-    return False
+    if g.n == 0:
+        return Matching((), 0)
+    tnet = build_target_network(g, range(g.n))
+    assignment = max_flow_dinic(tnet.net)
+    return Matching(tuple(extract_cover_edges(tnet, assignment)),
+                    assignment.value)
 
 
 def driver_count(g: DiGraph) -> int:

@@ -95,14 +95,6 @@ def sf_edges(n, mu, gamma, seed):
     return edges
 
 
-def adjacency_lists(n, edges):
-    """Out-neighbour tuples of every node, in edge order."""
-    out_adj = [[] for _ in range(n)]
-    for t, h in edges:
-        out_adj[t].append(h)
-    return tuple(map(tuple, out_adj))
-
-
 def target_network_arcs(g, targets):
     """Arcs of the node-split target network, built one ``Arc`` at a time:
     inject and collect arcs per target, relay arcs per other node, then one
@@ -167,6 +159,18 @@ def edmonds_karp_value(node_count, arcs, s, t):
             residual[v][u] += bottleneck
             v = u
         value += bottleneck
+
+
+def double_cover_drivers(g):
+    """Whole-network driver count ``max(n - m, 1)``, with ``m`` the maximum
+    matching of the bipartite double cover as an augmenting-path flow:
+    source -> u and n + v -> sink per node, u -> n + v per edge (u, v), all
+    of capacity one."""
+    n, source, sink = g.n, 2 * g.n, 2 * g.n + 1
+    arcs = [(source, u, 1) for u in range(n)]
+    arcs += [(n + v, sink, 1) for v in range(n)]
+    arcs += [(u, n + v, 1) for u, v in g.edges]
+    return max(n - edmonds_karp_value(2 * n + 2, arcs, source, sink), 1)
 
 
 def shortest_path_slots(slots, s, t):

@@ -16,7 +16,8 @@ from targetflow import (Arc, BoundedFlowNetwork, DiGraph, allocate_drivers,
                         solve_via_circulation, sweep)
 
 from conftest import CANONICAL_EDGES, random_graph, random_targets
-from reference import edmonds_karp_value, min_cover_drivers
+from reference import (double_cover_drivers, edmonds_karp_value,
+                       min_cover_drivers)
 
 
 def _line(num, label, verdict, detail=""):
@@ -97,14 +98,17 @@ def test_criterion_3_dual_route():
     return f"{mismatches} mismatches"
 
 
-@criterion(4, "all-nodes target set matches the matching-based driver count "
-              "on 500 random graphs (n<=50)")
+@criterion(4, "all-nodes target set and the matching-based driver count "
+              "match an augmenting-path matching on 500 random graphs "
+              "(n<=50)")
 def test_criterion_4_full_set_consistency():
     rng = random.Random(20240003)
     mismatches = 0
     for _ in range(500):
         g = random_graph(rng, 50, 120)
-        if solve(g, range(g.n)).min_drivers != driver_count(g):
+        want = double_cover_drivers(g)
+        if (solve(g, range(g.n)).min_drivers != want
+                or driver_count(g) != want):
             mismatches += 1
     assert mismatches == 0
     return f"{mismatches} mismatches"

@@ -11,6 +11,8 @@ from targetflow import (PathCover, format_edge_list, generate_er,
                         parse_edge_list, solve, verify_cover)
 from targetflow.cli import main
 
+from reference import double_cover_drivers
+
 DATA = Path(__file__).parent / "data"
 GRAPH = str(DATA / "canonical_edges.txt")
 TARGETS = str(DATA / "canonical_targets.txt")
@@ -152,7 +154,15 @@ class TestMatchingCommand:
         code, out = run(capsys, "matching", GRAPH)
         g, _ = parse_edge_list(Path(GRAPH).read_text())
         assert code == 0
-        assert int(out.strip()) == solve(g, range(g.n)).min_drivers
+        want = double_cover_drivers(g)
+        assert int(out.strip()) == want
+        assert solve(g, range(g.n)).min_drivers == want
+
+    def test_empty_graph_has_one_driver(self, capsys, tmp_path):
+        gfile = tmp_path / "g.txt"
+        gfile.write_text("")
+        code, out = run(capsys, "matching", str(gfile))
+        assert code == 0 and out == "1\n"
 
 
 class TestVerifyCommand:

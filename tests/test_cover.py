@@ -1,9 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 
 import targetflow.cover
 import targetflow.flow
+import targetflow.matching
 from targetflow import (INF, Arc, BoundedFlowNetwork, DiGraph, PathCover,
                         allocate_drivers, build_associate_graph,
                         build_circulation_network, build_target_network,
@@ -13,8 +15,8 @@ from targetflow import (INF, Arc, BoundedFlowNetwork, DiGraph, PathCover,
                         verify_cover)
 
 from conftest import random_graph, random_targets
-from reference import (circulation_network_arcs, min_cover_drivers,
-                       target_network_arcs)
+from reference import (circulation_network_arcs, double_cover_drivers,
+                       min_cover_drivers, target_network_arcs)
 
 
 class TestBuildTargetNetwork:
@@ -68,15 +70,21 @@ class TestBuildTargetNetwork:
                 2 * g.n + 2, 2 * g.n + 1, 2 * g.n)
 
     def test_solve_builds_no_per_edge_tuples(self, monkeypatch):
-        # the graph's tuple views and the network's Arc tuples stay unbuilt
-        g = generate_er(10_000, 3, 5)
+        # the graph's tuple view and the network's Arc tuples stay unbuilt,
+        # for a target subset and for the whole-network count
         nets = []
         build = targetflow.cover.build_target_network
-        monkeypatch.setattr(targetflow.cover, "build_target_network",
-                            lambda *args: nets.append(build(*args)) or nets[-1])
-        solve(g, random.Random(6).sample(range(g.n), 1000))
-        assert not {"edges", "out_adj"} & vars(g).keys()
-        assert "arcs" not in vars(nets[0].net)
+        spy = lambda *args: nets.append(build(*args)) or nets[-1]  # noqa: E731
+        monkeypatch.setattr(targetflow.cover, "build_target_network", spy)
+        monkeypatch.setattr(targetflow.matching, "build_target_network", spy)
+        for answer in (
+                lambda g: solve(g, random.Random(6).sample(range(g.n), 1000)),
+                driver_count):
+            g = generate_er(10_000, 3, 5)
+            nets.clear()
+            answer(g)
+            assert "edges" not in vars(g)
+            assert len(nets) == 1 and "arcs" not in vars(nets[0].net)
 
 
 class TestExtractCoverEdges:
@@ -205,11 +213,21 @@ class TestSolve:
             small = sorted(rng.sample(big, rng.randint(1, len(big))))
             assert solve(g, small).min_drivers <= solve(g, big).min_drivers
 
+    def test_non_integer_targets_rejected(self):
+        g = DiGraph(3, [(0, 1), (1, 2)])
+        for targets in ([1.5], [1.0], ["1"]):
+            for route in (solve, solve_via_circulation):
+                with pytest.raises(ValueError, match="must be integers"):
+                    route(g, targets)
+        assert solve(g, np.array([1, 2], dtype=np.int32)).min_drivers == 1
+
     def test_full_target_set_matches_matching_count(self):
         rng = random.Random(8)
         for _ in range(100):
             g = random_graph(rng, 12, 30)
-            assert solve(g, range(g.n)).min_drivers == driver_count(g)
+            want = double_cover_drivers(g)
+            assert solve(g, range(g.n)).min_drivers == want
+            assert driver_count(g) == want
 
 
 class TestCirculationRoute:
@@ -370,3 +388,9 @@ class TestVerifyCover:
         g = DiGraph(2, [(0, 0), (0, 1)])
         assert verify_cover(g, [0], PathCover((), ((0,),)))
         assert not verify_cover(g, [1], PathCover((), ((1,),)))
+
+    def test_non_integer_targets_fail(self):
+        g = DiGraph(3, [(0, 1), (1, 2)])
+        cover = PathCover(((0, 1, 2),), ())
+        assert verify_cover(g, [1], cover)
+        assert not verify_cover(g, [1.5], cover)

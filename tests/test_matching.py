@@ -1,6 +1,11 @@
 import random
 
-from targetflow import DiGraph, driver_count, max_matching
+import numpy as np
+import pytest
+
+from targetflow import (DiGraph, FlowAssignment, Matching,
+                        build_target_network, driver_count, generate_er,
+                        generate_sf, max_matching, verify_optimality)
 
 from conftest import random_graph
 from reference import brute_max_matching_size
@@ -15,6 +20,9 @@ def test_chain_matches_both_edges():
 
 def test_empty_graph():
     assert max_matching(DiGraph(3, [])).size == 0
+    g = DiGraph(0, [])
+    assert max_matching(g) == Matching((), 0)
+    assert driver_count(g) == 1
 
 
 def test_matching_validity_and_optimality():
@@ -61,3 +69,30 @@ def test_deterministic_pairs():
     for _ in range(30):
         g = random_graph(rng, 12, 25)
         assert max_matching(g) == max_matching(g)
+
+
+@pytest.mark.parametrize("kind", ["er", "sf"])
+def test_large_matching_is_a_certified_maximum_flow(kind):
+    # beyond the brute-force oracle: the pairs are edges of g in edge order
+    # with no tail or head repeated, and the all-target flow they define
+    # passes the min-cut certificate
+    if kind == "er":
+        g = generate_er(10_000, 3, 1)
+    else:
+        g = generate_sf(10_000, 3, 3, 1)
+    m = max_matching(g)
+    assert m.size == len(m.pairs) > 0
+    edge_of = {e: i for i, e in enumerate(g.edges)}
+    order = [edge_of[e] for e in m.pairs]  # KeyError: not an edge of g
+    assert order == sorted(order)
+    tails, heads = np.array(m.pairs).T
+    assert len(set(tails.tolist())) == len(set(heads.tolist())) == m.size
+
+    # with every node a target, arc u is u's inject arc and arc n + v is
+    # v's collect arc
+    tnet = build_target_network(g, range(g.n))
+    flow = np.zeros(tnet.net.tail.size, dtype=np.int64)
+    flow[tails] = 1
+    flow[g.n + heads] = 1
+    flow[np.array(tnet.edge_arcs)[order]] = 1
+    verify_optimality(tnet.net, FlowAssignment(tuple(flow.tolist()), m.size))
