@@ -4,8 +4,7 @@ certification of the resulting allocations."""
 
 from .certify import (LtiSystem, NotNumericallyControllable,
                       controllability_gramian, design_input, expm,
-                      is_target_controllable, kalman_target_rank,
-                      realize_system, simulate)
+                      kalman_target_rank, realize_system, simulate)
 from .cover import (CirculationNetwork, DriverAllocation, PathCover,
                     Solution, TargetFlowNetwork, allocate_drivers,
                     build_circulation_network, build_target_network,
@@ -33,10 +32,9 @@ __all__ = [
     "build_target_network", "controllability_gramian", "decompose_cover",
     "design_input", "driver_count", "expm", "extract_cover_edges",
     "feasible_circulation", "format_edge_list", "from_adjacency",
-    "generate_er", "generate_sf", "is_target_controllable",
-    "kalman_target_rank", "max_flow_dinic", "max_matching",
-    "min_flow_with_bounds", "parse_edge_list", "realize_system", "simulate",
-    "solve", "solve_via_circulation", "sweep", "sweep_to_csv",
-    "sweep_to_json", "to_adjacency", "validate_assignment", "verify_cover",
-    "verify_optimality",
+    "generate_er", "generate_sf", "kalman_target_rank", "max_flow_dinic",
+    "max_matching", "min_flow_with_bounds", "parse_edge_list",
+    "realize_system", "simulate", "solve", "solve_via_circulation", "sweep",
+    "sweep_to_csv", "sweep_to_json", "to_adjacency", "validate_assignment",
+    "verify_cover", "verify_optimality",
 ]

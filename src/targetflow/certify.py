@@ -13,9 +13,11 @@ input exactly, by one block exponential, so no quadrature or integrator
 error sits between the design and its check.
 """
 
+import operator
+
 import numpy as np
 
-from .cover import DriverAllocation
+from .cover import DriverAllocation, _checked_targets
 from .graph import DiGraph
 
 RANK_RTOL = 1e-9
@@ -27,9 +29,8 @@ DESIGN_STEPS = 500
 
 
 class NotNumericallyControllable(RuntimeError):
-    """The allocation cannot be certified numerically: the Krylov blocks of
-    the rank test leave the float64 range, or the map from input samples to
-    the outputs is too ill-conditioned to invert."""
+    """The allocation cannot be certified numerically: the map from input
+    samples to the target outputs is too ill-conditioned to invert."""
 
 
 class LtiSystem:
@@ -62,21 +63,23 @@ def realize_system(g: DiGraph, targets, alloc: DriverAllocation,
     generic-weight arguments apply), set attached inputs to one, and build
     the output selector for the sorted target set.  Deterministic per seed.
     """
+    members = _checked_targets(g, targets)
+    try:  # index() takes Python and numpy integers, not a float or string
+        pairs = [tuple(map(operator.index, a)) for a in alloc.attachments]
+    except TypeError:
+        raise ValueError("attachment ids must be integers") from None
     rng = np.random.default_rng(seed)
     n = g.n
     A = np.zeros((n, n))
     for t, h in g.edges:
         A[h, t] = rng.uniform(0.5, 1.5)
     B = np.zeros((n, alloc.driver_count))
-    for d, v in alloc.attachments:
+    for d, v in pairs:
         if not 0 <= v < n:
             raise ValueError(f"attachment node {v} out of range")
         if not 0 <= d < alloc.driver_count:
             raise ValueError(f"driver index {d} out of range")
         B[v, d] = 1.0
-    members = sorted(set(int(v) for v in targets))
-    if any(v < 0 or v >= n for v in members):
-        raise ValueError("target out of range")
     C = np.zeros((len(members), n))
     C[range(len(members)), members] = 1.0
     return LtiSystem(A, B, C, members)
@@ -106,49 +109,37 @@ def expm(m: np.ndarray) -> np.ndarray:
 
 
 def kalman_target_rank(sys: LtiSystem) -> int:
-    """Numeric rank of [CB, CAB, ..., CA^(n-1)B].
+    """Numeric rank of the Kalman matrix [CB, CAB, ..., CA^(n-1)B].
 
-    Powers accumulate iteratively as C @ (A^k B) to keep fill bounded; the
-    rank comes from row reduction where a pivot only counts if it exceeds
-    1e-9 times the largest entry of its column.  The system is target
-    controllable iff this equals the number of targets.
-
-    Raises:
-        NotNumericallyControllable: some A^k B overflows, so its columns
-            (inf or NaN) would count toward the rank unchecked.
+    Its columns span C K, K the reachable subspace of (A, B), so the rank
+    is that of C Q for an orthonormal basis Q of K; no power of A is
+    formed (Paige 1981).  Block Arnoldi builds Q from an orthonormal basis
+    of B: each new block is A times the last, orthogonalized twice against
+    Q, and keeps the directions whose singular values exceed RANK_RTOL
+    times the largest entry of B (first block) or of A (later blocks, whose
+    rounding scales with A, not with their own size); a block that keeps
+    none ends the basis.  No block outgrows ||A||, and a target that no
+    input reaches keeps an exactly zero row in Q.  The rank counts the
+    singular values of C Q above RANK_RTOL times the largest; the system is
+    target controllable iff it equals the number of targets.
     """
-    blocks = []
-    x = sys.B
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(sys.A.shape[0]):
-            if not np.isfinite(x).all():
-                raise NotNumericallyControllable(
-                    f"Krylov block A^{k} B overflows float64")
-            blocks.append(sys.C @ x)
-            x = sys.A @ x
-    return _numeric_rank(np.hstack(blocks), RANK_RTOL)
-
-
-def is_target_controllable(sys: LtiSystem) -> bool:
-    return kalman_target_rank(sys) == sys.C.shape[0]
-
-
-def _numeric_rank(m: np.ndarray, rtol: float) -> int:
-    m = np.array(m, dtype=float)
-    rows, cols = m.shape
-    col_scale = np.abs(m).max(axis=0) if rows else np.zeros(cols)
-    rank = 0
-    for j in range(cols):
-        if rank == rows:
+    q = np.empty((sys.A.shape[0], 0))
+    block, floor = sys.B, RANK_RTOL * np.abs(sys.B).max(initial=0.0)
+    a_floor = RANK_RTOL * np.abs(sys.A).max(initial=0.0)
+    for _ in range(sys.A.shape[0]):  # each pass adds a direction or stops
+        for _ in range(2):
+            block = block - q @ (q.T @ block)
+        u, s, _ = np.linalg.svd(block, full_matrices=False)
+        new = u[:, s > floor]
+        # the span of the block is zero where all its rows are: clear the
+        # rounding the factorization leaves there
+        new[~block.any(axis=1)] = 0.0
+        if not new.size:
             break
-        p = rank + int(np.argmax(np.abs(m[rank:, j])))
-        if col_scale[j] == 0.0 or abs(m[p, j]) <= rtol * col_scale[j]:
-            continue
-        m[[rank, p]] = m[[p, rank]]
-        factors = m[rank + 1:, j] / m[rank, j]
-        m[rank + 1:, j:] -= np.outer(factors, m[rank, j:])
-        rank += 1
-    return rank
+        q = np.hstack([q, new])
+        block, floor = sys.A @ new, a_floor
+    s = np.linalg.svd(sys.C @ q, compute_uv=False)
+    return int((s > RANK_RTOL * s.max(initial=0.0)).sum())
 
 
 def controllability_gramian(sys: LtiSystem, t_f: float,

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import hashlib
 import io
@@ -13,7 +14,7 @@ from targetflow import (DiGraph, DriverAllocation, LtiSystem,
                         NotNumericallyControllable, allocate_drivers, certify,
                         controllability_gramian, design_input, expm,
                         format_edge_list, generate_er, kalman_target_rank,
-                        realize_system, simulate, solve)
+                        parse_edge_list, realize_system, simulate, solve)
 from targetflow.certify import output_trajectory, write_trajectory_csv
 from targetflow.cli import main
 
@@ -56,6 +57,23 @@ class TestRealize:
         with pytest.raises(ValueError, match="out of range"):
             realize_system(g, [1], DriverAllocation(1, ((0, 5),)), seed=0)
 
+    def test_non_integer_targets_rejected(self):
+        # 1.7 and 2.2 must not truncate to the targets (1, 2)
+        g = DiGraph(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match="integers"):
+            realize_system(g, [1.7, 2.2], DriverAllocation(1, ((0, 0),)),
+                           seed=0)
+
+    def test_non_integer_attachment_rejected(self):
+        g = DiGraph(3, [(0, 1), (1, 2)])
+        for pair in ((0, 1.0), (0.0, 1), (0, "1")):
+            with pytest.raises(ValueError, match="integers"):
+                realize_system(g, [2], DriverAllocation(1, (pair,)), seed=0)
+        pair = (np.int32(0), np.int64(1))
+        sys = realize_system(g, [np.int64(2)], DriverAllocation(1, (pair,)),
+                             seed=0)
+        assert np.flatnonzero(sys.B[:, 0]).tolist() == [1]
+
 
 class TestKalmanRank:
     def test_scalar_integrator(self):
@@ -95,15 +113,50 @@ class TestKalmanRank:
             sys = realize_system(g, targets, alloc, seed=rng.randrange(10000))
             assert kalman_target_rank(sys) == len(set(targets))
 
-    def test_overflowing_krylov_blocks_raise(self):
-        # A^k B overflows long before k = 500; its NaN columns used to count
-        # toward the rank and report 4 of 4, although no driver reaches the
-        # isolated node 500
+    def test_unreached_target_lowers_rank_without_overflow(self):
+        # A^k B overflows float64 long before k = 500, so a rank taken from
+        # the raw powers sees inf and NaN columns.  No driver reaches the
+        # isolated node 500, so the rank is 3 of 4.
         g = DiGraph(501, generate_er(500, 12, 0).edges)
         sys = realize_system(g, [0, 1, 2, 500], DriverAllocation(1, ((0, 0),)),
                              seed=0)
-        with pytest.raises(NotNumericallyControllable, match="overflow"):
-            kalman_target_rank(sys)
+        assert kalman_target_rank(sys) == 3
+
+    def test_target_without_in_edges_has_rank_zero(self):
+        # no edge enters target 1, but the factorization of the first block
+        # leaves rounding in its leading rows (nodes 0-2), which A would
+        # carry on to a full direction unless Q keeps those rows at zero
+        g = generate_er(14, 1.5, 649373)
+        sys = realize_system(g, [1], DriverAllocation(3, ((0, 8), (1, 9),
+                                                          (2, 13))), seed=2115)
+        assert 1 not in _reachable(g, [8, 9, 13])
+        assert kalman_target_rank(sys) == 0
+
+    def test_mid_size_graph_reaches_full_rank(self):
+        # the instance of CLI verify on ER n = 2000 with 12 targets and
+        # seed 3, where the raw power A^1867 B overflows float64
+        g = generate_er(2000, 3, 1)
+        labels = sorted({v for e in g.edges for v in e})
+        g, targets = _as_cli_parses(g, random.Random(5).sample(labels, 12))
+        alloc = allocate_drivers(solve(g, targets).cover)
+        sys = realize_system(g, targets, alloc, seed=3)
+        reached = _reachable(g, [v for _, v in alloc.attachments])
+        assert kalman_target_rank(sys) == 12 <= len(reached & set(targets))
+
+    def test_single_attachment_rank_within_reach(self):
+        # one driver on verify-er80-shaped instances: the rank never counts
+        # a target that the driver cannot reach
+        for seed in range(1, 21):
+            for k in range(2):
+                graph_seed, target_seed, program_seed = _er80_seeds(seed, k)
+                g, targets = _er80_instance(graph_seed, target_seed)
+                alloc = allocate_drivers(solve(g, targets).cover)
+                node = alloc.attachments[0][1]
+                sys = realize_system(g, targets,
+                                     DriverAllocation(1, ((0, node),)),
+                                     seed=program_seed)
+                reached = _reachable(g, [node])
+                assert kalman_target_rank(sys) <= len(reached & set(targets))
 
 
 class TestExpm:
@@ -315,15 +368,49 @@ class TestAgainstRungeKutta:
             assert np.linalg.norm(sys.C @ x) <= 1e-6
 
 
-def _verify_er80(tmp_path, graph_seed, target_seed, program_seed):
-    """Exit code and report of the CLI ``verify`` on an instance built as
-    the verify-er80 benchmark builds it: ER, n = 80, mu = 3, targets 20% of
-    the labels that occur in the edge list (the CLI relabels the nodes when
-    it parses it), horizon 3."""
+def _as_cli_parses(g, target_labels):
+    """The graph and target ids that the CLI reads from g's edge list,
+    which it relabels by first appearance."""
+    parsed, labels = parse_edge_list(io.StringIO(format_edge_list(g)))
+    return parsed, sorted(labels[v] for v in target_labels)
+
+
+def _reachable(g, sources):
+    """Nodes reachable from ``sources`` along the edges of g (BFS)."""
+    succ = {}
+    for t, h in g.edges:
+        succ.setdefault(t, []).append(h)
+    seen, queue = set(sources), collections.deque(sources)
+    while queue:
+        for h in succ.get(queue.popleft(), ()):
+            if h not in seen:
+                seen.add(h)
+                queue.append(h)
+    return seen
+
+
+def _er80_seeds(seed, k):
+    """Graph, target and program seeds of instance k of verify-er80's
+    benchmark seed: SHA-256 of "verify-er80/<seed>/<stream>/<k>"."""
+    def derive(stream):
+        digest = hashlib.sha256(f"verify-er80/{seed}/{stream}/{k}".encode())
+        return int.from_bytes(digest.digest()[:4], "big")
+    return tuple(derive(s) for s in ("graph", "targets", "program"))
+
+
+def _er80_instance(graph_seed, target_seed):
+    """ER, n = 80, mu = 3, targets 20% of the labels that occur in the
+    edge list, as the verify-er80 benchmark builds it."""
     g = generate_er(80, 3, graph_seed)
     labels = sorted({v for e in g.edges for v in e})
-    targets = sorted(random.Random(target_seed).sample(
+    return g, sorted(random.Random(target_seed).sample(
         labels, max(1, round(0.2 * len(labels)))))
+
+
+def _verify_er80(tmp_path, graph_seed, target_seed, program_seed):
+    """Exit code and report of the CLI ``verify`` at horizon 3 on a
+    verify-er80 instance (the CLI relabels the nodes when it parses it)."""
+    g, targets = _er80_instance(graph_seed, target_seed)
     graph, target_file = tmp_path / "graph.txt", tmp_path / "targets.txt"
     graph.write_text(format_edge_list(g))
     target_file.write_text("".join(f"{v}\n" for v in targets))
@@ -354,17 +441,9 @@ def test_verify_er80_accuracy_not_worse(tmp_path, graph_seed, target_seed,
 
 
 def test_verify_er80_seeds_1_to_30_pass(tmp_path):
-    # both instances of each benchmark seed; seed s, instance k draws its
-    # graph, target and program seeds from SHA-256 of
-    # "verify-er80/<s>/<stream>/<k>"
-    def derive(seed, stream):
-        digest = hashlib.sha256(f"verify-er80/{seed}/{stream}".encode())
-        return int.from_bytes(digest.digest()[:4], "big")
-
+    # both instances of each benchmark seed
     for seed in range(1, 31):
         for k in range(2):
-            code, report = _verify_er80(
-                tmp_path, *(derive(seed, f"{stream}/{k}")
-                            for stream in ("graph", "targets", "program")))
+            code, report = _verify_er80(tmp_path, *_er80_seeds(seed, k))
             assert code == 0, (seed, k)
             assert report["passed"], (seed, k, report["y_norm"])
