@@ -24,7 +24,7 @@ import numpy as np
 
 from .flow import FlowAssignment, max_flow_dinic, min_flow_with_bounds
 from .graph import DiGraph, _repeats
-from .network import INF, BoundedFlowNetwork
+from .network import BoundedFlowNetwork
 
 TAG_INJECT = "inject"
 TAG_COLLECT = "collect"
@@ -234,12 +234,11 @@ def build_circulation_network(g: DiGraph, targets) -> CirculationNetwork:
     head = np.concatenate((nodes, np.full(n, snk), nodes + n, g.head, [src]))
     lower = np.zeros(tail.size, dtype=np.int64)
     lower[2 * n + np.array(members)] = 1
-    cap = np.ones(tail.size, dtype=object)
-    cap[-1] = INF
     net = BoundedFlowNetwork.from_columns(
-        2 * n + 2, src, snk, tail, head, lower, cap,
+        2 * n + 2, src, snk, tail, head, lower,
+        np.ones(tail.size, dtype=np.int64),
         ((TAG_SOURCE, n), (TAG_SINK, n), (TAG_SPLIT, n), (TAG_EDGE, m),
-         (TAG_RETURN, 1)))
+         (TAG_RETURN, 1)), [tail.size - 1])
     return CirculationNetwork(net, n, members, range(3 * n, 3 * n + m),
                               3 * n + m)
 

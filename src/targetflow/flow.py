@@ -1,9 +1,8 @@
 """Capacity-network engine: Dinic maximum flow plus lower-bound machinery.
 
-The solvers run on the arc columns of a
-:class:`~targetflow.network.BoundedFlowNetwork`.  Residual capacities are
-int64, so a finite capacity or the sentinel standing in for ``INF`` beyond
-that range raises ``ValueError``.
+The solvers run on the int64 arc columns of a
+:class:`~targetflow.network.BoundedFlowNetwork`, which hold the sentinel
+standing in for ``INF``; residual capacities are int64 too.
 
 One residual engine runs every solver: maximum flow, the saturation of the
 associate graph behind feasible circulations, and the cancellation step of
@@ -20,7 +19,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .network import INF, BoundedFlowNetwork, _column, _finite_caps
+from .network import BoundedFlowNetwork, _column
 
 
 class InfeasibleFlowError(RuntimeError):
@@ -76,7 +75,7 @@ class _ResidualDinic:
     leave without touching a residual: the augmenting paths are the same.
     """
 
-    def __init__(self, n: int, tail, head, fwd, rev=None):
+    def __init__(self, n: int, tail, head, fwd, rev=0):
         self.n = n
         m = len(tail)
         heads = np.empty(2 * m, dtype=np.int64)
@@ -89,13 +88,8 @@ class _ResidualDinic:
         self._indptr_np = np.concatenate(([0], self._deg.cumsum()))
         self.cap = array("q", [0]) * (2 * m)
         self._cap_np = np.frombuffer(self.cap, dtype=np.int64)
-        try:
-            self._cap_np[0::2] = fwd
-            if rev is not None:
-                self._cap_np[1::2] = rev
-        except OverflowError:
-            raise ValueError("capacity or INF sentinel outside the int64 "
-                             "range") from None
+        self._cap_np[0::2] = fwd
+        self._cap_np[1::2] = rev
         self._fwd = self._cap_np[0::2].copy()
 
     def pushed(self) -> list[int]:
@@ -198,14 +192,15 @@ def max_flow_dinic(net: BoundedFlowNetwork) -> FlowAssignment:
     network.  Returns the per-arc flows and the flow value.
 
     Raises:
-        ValueError: a lower bound is nonzero, or a capacity (or the
-            sentinel standing in for ``INF``) does not fit in int64.
+        ValueError: a lower bound is nonzero, or a path of unbounded arcs
+            joins source to sink, so that the flow reaches the sentinel.
     """
     if np.count_nonzero(net.lower):
         raise ValueError("max_flow_dinic requires all lower bounds zero")
-    engine = _ResidualDinic(net.node_count, net.tail, net.head,
-                            _finite_caps(net))
+    engine = _ResidualDinic(net.node_count, net.tail, net.head, net.cap)
     value = engine.max_flow(net.source, net.sink)
+    if net.unbounded.size and value >= net.cap[net.unbounded[0]]:
+        raise ValueError("a path of unbounded arcs joins source to sink")
     return FlowAssignment(tuple(engine.pushed()), value)
 
 
@@ -223,12 +218,12 @@ def build_associate_graph(net: BoundedFlowNetwork):
     nodes = np.arange(n)
     tail = np.concatenate((net.tail, np.full(n, n), nodes))
     head = np.concatenate((net.head, nodes, np.full(n, n + 1)))
-    cap = np.concatenate((net.cap - net.lower,  # INF stays INF
+    cap = np.concatenate((net.cap - net.lower,
                           _node_sums(n, net.head, net.lower),
                           _node_sums(n, net.tail, net.lower)))
     plain = BoundedFlowNetwork.from_columns(
         n + 2, n, n + 1, tail, head, np.zeros(tail.size, dtype=np.int64),
-        cap, net._tags)
+        cap, net._tags, net.unbounded)
     return plain, range(m)
 
 
@@ -260,15 +255,15 @@ def min_flow_with_bounds(net: BoundedFlowNetwork) -> FlowAssignment:
     amount, which is minimal among all feasible flows.
     """
     n, s, t, m = net.node_count, net.source, net.sink, net.tail.size
-    back = np.flatnonzero((net.tail == t) & (net.head == s)
-                          & (net.cap == INF) & (net.lower == 0))
+    u = net.unbounded
+    back = u[(net.tail[u] == t) & (net.head[u] == s) & (net.lower[u] == 0)]
     if back.size:
-        work, return_pos = net, int(back[0])
+        work, return_pos = net, int(back.min())
     else:
         work = BoundedFlowNetwork.from_columns(
             n, s, t, np.append(net.tail, t), np.append(net.head, s),
-            np.append(net.lower, 0), np.append(net.cap.astype(object), INF),
-            net._tags)
+            np.append(net.lower, 0), np.append(net.cap, 0), net._tags,
+            np.append(u, m))
         return_pos = m
 
     circ = feasible_circulation(work)
@@ -279,7 +274,7 @@ def min_flow_with_bounds(net: BoundedFlowNetwork) -> FlowAssignment:
     # Residual cancellation: push sink -> source from the circulation,
     # with the return arc closed both ways.
     flow = _column(circ.flow)
-    fwd = _finite_caps(work) - flow
+    fwd = work.cap - flow
     rev = flow - work.lower
     fwd[return_pos] = rev[return_pos] = 0
     engine = _ResidualDinic(n, work.tail, work.head, fwd, rev)
@@ -298,7 +293,9 @@ def validate_assignment(net: BoundedFlowNetwork,
     flow = _column(assignment.flow)
     if (flow % 1 != 0).any():
         raise ValueError("non-integer flow")
-    bad = (flow < net.lower) | (flow > net.cap)
+    above = flow > net.cap
+    above[net.unbounded] = False  # the sentinel bounds no flow
+    bad = (flow < net.lower) | above
     if bad.any():
         i = bad.argmax()
         raise ValueError(f"flow {flow[i]} violates bounds on {net.arcs[i]}")
@@ -321,13 +318,16 @@ def verify_optimality(net: BoundedFlowNetwork,
     The cut's source side is what a breadth-first search reaches from the
     source in the residual network of ``assignment``: the sink must lie
     outside it, each arc out of it must be saturated and each arc into it
-    must carry its lower bound.  The residual network is rebuilt from
-    ``assignment`` alone, and the search shares the engine's CSR but none
-    of its phase code."""
+    must carry its lower bound.  An unbounded arc never saturates, so none
+    leaves the cut.  The residual network is rebuilt from ``assignment``
+    alone, and the search shares the engine's CSR but none of its phase
+    code."""
     validate_assignment(net, assignment)
-    flow, cap = _column(assignment.flow), _finite_caps(net)
-    res = _ResidualDinic(net.node_count, net.tail, net.head, cap - flow,
-                         flow - net.lower)
+    flow, cap = _column(assignment.flow), net.cap
+    fwd = flow < cap
+    fwd[net.unbounded] = True
+    res = _ResidualDinic(net.node_count, net.tail, net.head, fwd,
+                         flow > net.lower)
     side = np.zeros(net.node_count, dtype=bool)
     frontier = np.array([net.source])
     while frontier.size:

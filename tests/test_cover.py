@@ -307,6 +307,7 @@ class TestColumnNetworks:
         solve_via_circulation(g, random.Random(6).sample(range(g.n), 1000))
         for net in circ + work + plain:
             assert "arcs" not in vars(net)
+            assert net.lower.dtype == net.cap.dtype == np.int64
         assert circ and work and plain
 
     def test_constructor_keeps_arcs_and_tag_runs(self):
@@ -318,6 +319,21 @@ class TestColumnNetworks:
         assert net.arcs == arcs
         assert BoundedFlowNetwork(4, iter(arcs), 0, 3).arcs == arcs
         assert BoundedFlowNetwork(4, (), 0, 3).arcs == ()
+
+    def test_unbounded_arcs_round_trip(self):
+        arcs = (Arc(0, 1, 0, 1, "a"), Arc(0, 2, 1, 2, "a"), Arc(1, 2, 0, INF),
+                Arc(2, 3, 1, INF, "b"), Arc(1, 3, 0, 2))
+        net = BoundedFlowNetwork(4, arcs, 0, 3)
+        assert net.arcs == arcs
+        assert BoundedFlowNetwork(4, net.arcs, 0, 3).arcs == arcs
+        cols = BoundedFlowNetwork.from_columns(
+            4, 0, 3, net.tail, net.head, net.lower, net.cap, net._tags,
+            net.unbounded)
+        assert cols.arcs == arcs
+        assert cols.cap.tolist() == net.cap.tolist() == [1, 2, 8, 8, 2]
+        plain, arc_map = build_associate_graph(net)
+        assert [plain.arcs[i] for i in arc_map] == [
+            a._replace(lower=0, cap=a.cap - a.lower) for a in arcs]
 
     def test_tags_pass_into_derived_networks(self, monkeypatch, canonical):
         g, targets = canonical

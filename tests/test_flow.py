@@ -1,8 +1,10 @@
 import hashlib
+import math
 import random
 import time
 from collections import deque
 
+import numpy as np
 import pytest
 
 from targetflow import (INF, Arc, BoundedFlowNetwork, InfeasibleFlowError,
@@ -12,7 +14,6 @@ from targetflow import (INF, Arc, BoundedFlowNetwork, InfeasibleFlowError,
                         min_flow_with_bounds, validate_assignment,
                         verify_optimality)
 from targetflow.flow import FlowAssignment, _ResidualDinic
-from targetflow.network import _finite_caps
 
 from conftest import random_graph, random_targets
 from reference import (brute_circulation_exists, brute_min_flow_value,
@@ -59,6 +60,81 @@ class TestNetworkValidation:
             BoundedFlowNetwork(2, arcs, 0, 0)
         with pytest.raises(ValueError, match="out of range"):
             BoundedFlowNetwork(2, arcs, 0, 2)
+
+
+def _one_arc(build, lower, cap):
+    """A one-arc network built from an ``Arc`` or from float64 columns."""
+    if build == "arcs":
+        return BoundedFlowNetwork(2, (Arc(0, 1, lower, cap),), 0, 1)
+    return BoundedFlowNetwork.from_columns(
+        2, 0, 1, [0], [1], np.array([lower], dtype=float),
+        np.array([cap], dtype=float))
+
+
+@pytest.mark.parametrize("build", ["arcs", "columns"])
+class TestBoundContract:
+    @pytest.mark.parametrize("lower, cap, message", [
+        (0, 1.5, "finite capacity must be an integer"),
+        (0.5, 1, "lower bound must be a non-negative integer"),
+        (0, math.nan, "finite capacity must be an integer"),
+        (0, -INF, "finite capacity must be an integer"),
+        (INF, 1, "lower bound must be a non-negative integer"),
+        (0, 2 ** 63, "int64"),
+    ])
+    def test_bad_bound_rejected(self, build, lower, cap, message):
+        with pytest.raises(ValueError, match=message):
+            _one_arc(build, lower, cap)
+
+    def test_integral_float_stored_as_int64(self, build):
+        net = _one_arc(build, 0.0, 2.0)
+        assert net.lower.dtype == net.cap.dtype == np.int64
+        assert (net.lower.tolist(), net.cap.tolist()) == ([0], [2])
+
+
+def _unbounded_path_networks():
+    """Networks whose source reaches the sink along unbounded arcs: the
+    path alone, and beside a finite path."""
+    return [
+        BoundedFlowNetwork(3, (Arc(0, 1, 0, INF), Arc(1, 2, 0, INF)), 0, 2),
+        BoundedFlowNetwork(4, (Arc(0, 1, 0, 5), Arc(0, 2, 0, INF),
+                               Arc(2, 3, 0, INF), Arc(1, 3, 0, 2)), 0, 3)]
+
+
+class TestUnboundedArcs:
+    def test_sentinel_is_one_plus_finite_bounds(self):
+        net = BoundedFlowNetwork(
+            4, (Arc(0, 1, 1, 2), Arc(1, 2, 0, INF), Arc(2, 3, 2, INF),
+                Arc(1, 3, 0, 3)), 0, 3)
+        assert net.unbounded.tolist() == [1, 2]
+        assert net.cap.tolist() == [2, 9, 9, 3]
+        assert not net.unbounded.flags.writeable
+
+    def test_unbounded_max_flow_rejected(self):
+        for net in _unbounded_path_networks():
+            with pytest.raises(ValueError, match="unbounded arcs"):
+                max_flow_dinic(net)
+
+    def test_cut_left_by_unbounded_arc_rejected(self):
+        # the flows that reach the sentinel: 1 on the lone path, and 8 on
+        # the unbounded path beside 2 on the finite one
+        for net, fa in zip(_unbounded_path_networks(),
+                           (FlowAssignment((1, 1), 1),
+                            FlowAssignment((2, 8, 8, 2), 10))):
+            validate_assignment(net, fa)
+            with pytest.raises(ValueError, match="augmenting path"):
+                verify_optimality(net, fa)
+
+    def test_flow_above_sentinel_is_no_violation(self):
+        # around the unbounded cycle 1 -> 2 -> 1, whose sentinel is 3, up
+        # to a flow beyond int64
+        net = BoundedFlowNetwork(
+            4, (Arc(0, 1, 0, 1), Arc(1, 2, 0, INF), Arc(2, 1, 0, INF),
+                Arc(1, 3, 0, 1)), 0, 3)
+        assert net.cap.tolist() == [1, 3, 3, 1]
+        for f in (100, 2 ** 70):
+            fa = FlowAssignment((1, f, f, 1), 1)
+            validate_assignment(net, fa)
+            verify_optimality(net, fa)
 
 
 class TestMaxFlow:
@@ -488,8 +564,7 @@ def _slot_case(name):
 def test_first_phase_scans_only_shortest_path_slots(name):
     for net in _slot_case(name):
         s, t = net.source, net.sink
-        engine = _ResidualDinic(net.node_count, net.tail, net.head,
-                                _finite_caps(net))
+        engine = _ResidualDinic(net.node_count, net.tail, net.head, net.cap)
         heads = engine._head_np.tolist()
         while True:
             slots = [(heads[q ^ 1], heads[q], c)
@@ -508,8 +583,7 @@ def test_phase_without_path_to_sink_is_none():
     net = _dead_end_instance(1000, 4)
     arcs = tuple(a for a in net.arcs if a.head != net.sink)
     cut = BoundedFlowNetwork(net.node_count, arcs, 0, net.sink)
-    engine = _ResidualDinic(cut.node_count, cut.tail, cut.head,
-                            _finite_caps(cut))
+    engine = _ResidualDinic(cut.node_count, cut.tail, cut.head, cut.cap)
     assert _phase_slots(engine, cut.source, cut.sink) == (None, None)
 
 
@@ -608,17 +682,15 @@ class TestVerifyOptimality:
 
 class TestInt64Range:
     def test_capacity_beyond_int64_rejected(self):
-        net = BoundedFlowNetwork(2, (Arc(0, 1, 0, 2 ** 63),), 0, 1)
         with pytest.raises(ValueError, match="int64"):
-            max_flow_dinic(net)
+            BoundedFlowNetwork(2, (Arc(0, 1, 0, 2 ** 63),), 0, 1)
 
     def test_sentinel_beyond_int64_rejected(self):
         # each capacity fits, but no int64 exceeds their sum
-        net = BoundedFlowNetwork(
-            3, (Arc(0, 1, 0, 2 ** 62), Arc(0, 1, 0, 2 ** 62),
-                Arc(1, 2, 0, INF)), 0, 2)
         with pytest.raises(ValueError, match="int64"):
-            max_flow_dinic(net)
+            BoundedFlowNetwork(
+                3, (Arc(0, 1, 0, 2 ** 62), Arc(0, 1, 0, 2 ** 62),
+                    Arc(1, 2, 0, INF)), 0, 2)
 
     def test_value_may_exceed_int64(self):
         # residual capacities stay in range even when the total does not
