@@ -71,8 +71,7 @@ def realize_system(g: DiGraph, targets, alloc: DriverAllocation,
     rng = np.random.default_rng(seed)
     n = g.n
     A = np.zeros((n, n))
-    for t, h in g.edges:
-        A[h, t] = rng.uniform(0.5, 1.5)
+    A[g.head, g.tail] = rng.uniform(0.5, 1.5, size=g.tail.size)
     B = np.zeros((n, alloc.driver_count))
     for d, v in pairs:
         if not 0 <= v < n:

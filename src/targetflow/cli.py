@@ -190,7 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("solve", help="minimum drivers for a target set")
+    p = sub.add_parser("solve", help="minimum target path cover: one driver "
+                       "per path head, an upper bound under the rank test")
     p.add_argument("graph")
     p.add_argument("targets")
     p.add_argument("--out")

@@ -1,11 +1,11 @@
-"""Minimum driver allocation for a target node set, via maximum flow.
+"""Minimum target path cover and driver allocation, via maximum flow.
 
-The question answered here: how many independent external control sources
-are needed so that a chosen subset of nodes in a directed network can be
-steered, and where should they attach?  The answer is the minimum number of
-directed paths in a vertex-disjoint union of simple paths and cycles that
-covers the target set (cycles are free: one source can reach into any
-number of them), floored at one.
+The count computed here is the minimum number of directed paths in a
+vertex-disjoint union of simple paths and cycles that covers the target set
+(cycles are free: one source can reach into any number of them), floored
+at one.  It is the fewest control sources when each drives one path from
+its head.  Under the Kalman target rank test it is an upper bound: inputs
+on single nodes, or one input on several nodes, can pass with fewer.
 
 Two equivalent routes are provided:
 
@@ -202,8 +202,9 @@ def decompose_cover(cover_edges, targets) -> PathCover:
 
 
 def solve(g: DiGraph, targets) -> Solution:
-    """Minimum number of control sources covering ``targets``, with the
-    covering paths and cycles.
+    """Minimum target path cover of ``targets``: the fewest control sources
+    when each drives one path from its head (an upper bound on the inputs
+    the rank test needs), with the covering paths and cycles.
 
     Builds the node-split network, pushes a maximum flow through it,
     and decomposes the unit-flow edges.  The number of paths always equals

@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .network import BoundedFlowNetwork, _column
+from .network import BoundedFlowNetwork, _column, _first_fraction
 
 
 class InfeasibleFlowError(RuntimeError):
@@ -291,7 +291,7 @@ def validate_assignment(net: BoundedFlowNetwork,
     if len(assignment.flow) != net.tail.size:
         raise ValueError("flow vector length mismatch")
     flow = _column(assignment.flow)
-    if (flow % 1 != 0).any():
+    if _first_fraction(flow) is not None:
         raise ValueError("non-integer flow")
     above = flow > net.cap
     above[net.unbounded] = False  # the sentinel bounds no flow

@@ -5,18 +5,12 @@ Node ids are dense 0-based integers; file ingestion maps arbitrary integer
 labels onto them and reports the mapping.
 """
 
+import io
 import random
 from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
-
-# every decimal label of up to 18 digits fits in int64
-_MAX_DIGITS = 18
-# Texts shorter than this go through the line loop: it costs at most a few
-# milliseconds more there (and less below about 500 characters), while the
-# numpy tokenizer's kernels add about 0.4 MB resident to a short process.
-_LOOP_MAX_CHARS = 1 << 14
 
 
 class EdgeListError(ValueError):
@@ -94,30 +88,20 @@ class DiGraph:
 
 def _label_columns(text: str):
     """The labels of a plain edge list as one int64 array, each line's tail
-    then head; ``None`` when the text needs the line loop: for a character
-    other than digits, blanks and line ends (comments included), a carriage
-    return that ends no line, a line with neither zero nor two tokens, or a
-    label of over 18 digits."""
-    if not text.isascii() or text.count("\r") != text.count("\r\n"):
+    then head, read by numpy's text reader; ``None`` when the text needs the
+    line loop: for a character other than ASCII digits, blanks and line
+    ends (comments included), a carriage return inside a line, a line with
+    neither zero nor two tokens, or a label beyond int64."""
+    if not text.isascii() or text.encode().translate(None, b"0123456789 \t\r\n"):
         return None
-    b = np.frombuffer(text.encode(), dtype=np.uint8)
-    digit = b - 48 < 10
-    newline = b == 10
-    if not (digit | newline | (b == 32) | (b == 9) | (b == 13)).all():
+    if text.isspace() or not text:  # the reader would warn of no data
+        return np.zeros(0, dtype=np.int64)
+    try:
+        pairs = np.loadtxt(io.StringIO(text), dtype=np.int64, ndmin=2,
+                           comments=None)
+    except (ValueError, OverflowError):
         return None
-    step = np.diff(digit.view(np.int8), prepend=0, append=0)
-    starts = np.flatnonzero(step == 1)
-    length = np.flatnonzero(step == -1) - starts
-    if starts.size and length.max() > _MAX_DIGITS:
-        return None
-    per_line = np.bincount(np.searchsorted(np.flatnonzero(newline), starts))
-    if ((per_line != 0) & (per_line != 2)).any():
-        return None
-    labels = np.zeros(starts.size, dtype=np.int64)
-    for k in range(length.max() if starts.size else 0):
-        live = np.flatnonzero(length > k)
-        labels[live] = labels[live] * 10 + (b[starts[live] + k] - 48)
-    return labels
+    return pairs.ravel() if pairs.shape[1] == 2 else None
 
 
 def _line_labels(lines):
@@ -152,10 +136,9 @@ def parse_edge_list(text) -> tuple[DiGraph, dict[int, int]]:
     compacted to dense 0-based ids in first-appearance order; duplicate
     edges collapse to one.  Returns the graph and the label -> internal-id
     map.  ``text`` is a string, a text file (read whole, then split into
-    the lines iterating it would give) or an iterable of lines.  Plain
-    text of at least ``_LOOP_MAX_CHARS`` characters without comments is
-    tokenized by numpy in one pass; anything else, errors included, goes
-    through the line loop.
+    the lines iterating it would give) or an iterable of lines.  Text of
+    digits and whitespace only is read by numpy's text reader; anything
+    else, comments and errors included, goes through the line loop.
 
     Raises:
         EdgeListError: wrong token count, non-integer or negative token.
@@ -164,7 +147,7 @@ def parse_edge_list(text) -> tuple[DiGraph, dict[int, int]]:
     if from_file:
         text = text.read()
     if isinstance(text, str):
-        labels = _label_columns(text) if len(text) >= _LOOP_MAX_CHARS else None
+        labels = _label_columns(text)
         if labels is None:
             labels = _line_labels(
                 text.split("\n") if from_file else text.splitlines())

@@ -30,6 +30,14 @@ def _column(values):
     return col if col.dtype == np.int64 else np.array(values, dtype=object)
 
 
+def _first_fraction(col):
+    """Position of the first non-integer value of a ``_column``, or
+    ``None``; tested one value at a time, as numpy's object loop would warn
+    on a NaN."""
+    bad = [v % 1 != 0 for v in col.tolist()] if col.dtype == object else ()
+    return bad.index(True) if any(bad) else None
+
+
 class BoundedFlowNetwork:
     """Directed capacity network with per-arc bounds ``lower <= cap``.
 
@@ -80,11 +88,9 @@ class BoundedFlowNetwork:
         for col, message in (
                 (self.lower, "lower bound must be a non-negative integer: {}"),
                 (self.cap, "finite capacity must be an integer: {}")):
-            # one by one: numpy's object loop would warn on a NaN
-            bad = ([v % 1 != 0 for v in col.tolist()]
-                   if col.dtype == object else ())
-            if any(bad):
-                raise ValueError(message.format(self.arcs[bad.index(True)]))
+            i = _first_fraction(col)
+            if i is not None:
+                raise ValueError(message.format(self.arcs[i]))
         try:
             self.lower = lower = self.lower.astype(np.int64, copy=False)
             self.cap = cap = self.cap.astype(np.int64,

@@ -75,6 +75,44 @@ class TestRealize:
         assert np.flatnonzero(sys.B[:, 0]).tolist() == [1]
 
 
+    def test_weights_in_edge_order_without_edge_tuples(self):
+        g = generate_er(400, 3, 7)
+        sys = realize_system(g, [0], DriverAllocation(1, ((0, 0),)), seed=7)
+        assert "edges" not in g.__dict__
+        rng = np.random.default_rng(7)
+        A = np.zeros((g.n, g.n))
+        for t, h in zip(g.tail.tolist(), g.head.tolist()):
+            A[h, t] = rng.uniform(0.5, 1.5)
+        assert np.array_equal(sys.A, A)
+
+
+class TestCoverCountIsUpperBound:
+    """The cover count is the minimum target path cover.  The rank test
+    can pass with fewer inputs: one input steers the targets it reaches at
+    distinct distances."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_one_input_on_two_nodes(self, seed):
+        # B = e0 + e2 and AB = a e1 span both targets
+        g, targets = DiGraph(3, [(2, 1)]), [0, 1]
+        assert solve(g, targets).min_drivers == 2
+        sys = realize_system(g, targets, DriverAllocation(1, ((0, 0), (0, 2))),
+                             seed=seed)
+        assert kalman_target_rank(sys) == 2
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_three_single_node_inputs_under_four_paths(self, seed):
+        # node 1 reaches targets 1, 0 and 2 at distances 0, 1 and 2
+        g = DiGraph(6, [(1, 0), (1, 4), (4, 2)])
+        targets = [0, 1, 2, 3, 5]
+        sol = solve(g, targets)
+        assert sol.min_drivers == 4
+        for alloc in (DriverAllocation(3, ((0, 1), (1, 3), (2, 5))),
+                      allocate_drivers(sol.cover)):
+            sys = realize_system(g, targets, alloc, seed=seed)
+            assert kalman_target_rank(sys) == 5
+
+
 class TestKalmanRank:
     def test_scalar_integrator(self):
         sys = LtiSystem(np.zeros((1, 1)), np.ones((1, 1)), np.ones((1, 1)), [0])

@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import time
+import warnings
 from collections import deque
 
 import numpy as np
@@ -89,6 +90,16 @@ class TestBoundContract:
         net = _one_arc(build, 0.0, 2.0)
         assert net.lower.dtype == net.cap.dtype == np.int64
         assert (net.lower.tolist(), net.cap.tolist()) == ([0], [2])
+
+
+@pytest.mark.parametrize("f", [math.nan, 1.5, INF, -INF])
+def test_non_integer_flow_rejected_without_warning(f):
+    net = BoundedFlowNetwork(2, (Arc(0, 1, 0, 1),), 0, 1)
+    for check in (validate_assignment, verify_optimality):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-integer flow|violates"):
+                check(net, FlowAssignment((f,), 0))
 
 
 def _unbounded_path_networks():

@@ -1,5 +1,6 @@
 import io
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -101,9 +102,9 @@ class TestParse:
             assert labels2 == labels
 
 
-# tokens ``int`` accepts that the numpy tokenizer leaves to the line loop
+# tokens ``int`` accepts that numpy's text reader leaves to the line loop
 LOOP_TOKENS = ["+5", "1_000", "\u0663", "\uff15", "\u0661\u0662", str(2 ** 63),
-               str(2 ** 64 + 3), "0" * 19 + "7"]
+               str(2 ** 64 + 3)]
 MALFORMED = ["1 2 3", "x 1", "-1 2", "7", "1.5 2", "1 2 # c", "1 -2", "0x1 2"]
 # characters that str.split() and str.splitlines() treat specially
 ODD_CHARS = ["\x0c", "\x0b", "\u2028", "\x85", "\xa0", "\r", "\x1c"]
@@ -166,16 +167,14 @@ def loop_calls(monkeypatch):
 
 class TestParseMatchesReference:
     @pytest.mark.parametrize("kind", ["plain", "token", "malformed", "char"])
-    def test_fuzz(self, kind, loop_calls, monkeypatch):
-        # let the numpy tokenizer take texts of any length
-        monkeypatch.setattr(targetflow.graph, "_LOOP_MAX_CHARS", 0)
+    def test_fuzz(self, kind, loop_calls):
         rng = random.Random(f"parse-{kind}")
         for case in range(500):
             text = _fuzz_text(rng, kind)
             want = _outcome(lambda t: parse_lines(t.splitlines()), text)
             loop_calls.clear()
             assert _outcome(_library, text) == want, text
-            # the numpy tokenizer takes the plain texts without comments and
+            # numpy's reader takes the plain texts without comments and
             # leaves comments, loop-only tokens and errors to the loop (a "\r"
             # put before a line end makes a plain CRLF, so odd characters may
             # go either way)
@@ -196,9 +195,58 @@ class TestParseMatchesReference:
         assert (parsed.n, parsed.edges, list(parsed_labels.items())) == (
             n, edges, list(got.items()))
 
-    def test_short_text_takes_line_loop(self, loop_calls):
+    def test_short_plain_text_takes_reader(self, loop_calls):
         assert parse_edge_list("1 2\n")[0].edges == ((0, 1),)
+        assert not loop_calls
+
+    def test_short_commented_text_takes_line_loop(self, loop_calls):
+        assert parse_edge_list("# c\n1 2\n")[0].edges == ((0, 1),)
         assert loop_calls
+
+
+# the texts below are this long, so no size cut could send them to the loop
+LONG = 1 << 14
+
+
+class TestReaderShapes:
+    """Texts the reader reads without error but in the wrong shape, and
+    the labels at the edge of int64."""
+
+    @pytest.mark.parametrize("line, count", [("1 2 3", 3), ("7", 1)])
+    def test_uniform_wrong_token_count(self, line, count):
+        text = f"{line}\n" * (LONG // len(line) + 1)
+        with pytest.raises(EdgeListError) as exc:
+            parse_edge_list(text)
+        assert exc.value.line_no == 1
+        assert str(exc.value) == f"line 1: expected 2 tokens, got {count}"
+
+    def test_whitespace_only_is_empty_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g, labels = parse_edge_list(" \t\r\n" * LONG)
+        assert (g.n, g.edges, labels) == (0, (), {})
+
+    @pytest.mark.parametrize("top, loop", [(2 ** 63 - 1, False),
+                                           (2 ** 63, True)])
+    def test_int64_edge_labels(self, top, loop, loop_calls):
+        lines = [f"{top} 0"] + [f"{i} {i + 1}" for i in range(LONG // 8)]
+        text = "\n".join(lines) + "\n"
+        g, labels = parse_edge_list(text)
+        assert bool(loop_calls) == loop
+        assert list(labels)[0] == top and type(list(labels)[0]) is int
+        assert (g.n, g.edges, labels) == parse_lines(text.splitlines())
+        again, labels2 = parse_edge_list(format_edge_list(g, labels))
+        assert (again.edges, labels2) == (g.edges, labels)
+
+    @pytest.mark.parametrize("at", [0, 1, 2, 3])
+    def test_lone_carriage_return_in_a_line(self, at):
+        lines = [f"{i} {i + 1}" for i in range(LONG // 6)]
+        lines[5] = lines[5][:at] + "\r" + lines[5][at:]
+        text = "\n".join(lines) + "\n"
+        assert (_outcome(_library, text)
+                == _outcome(lambda t: parse_lines(t.splitlines()), text))
+        assert (_outcome(lambda t: _library(io.StringIO(t)), text)
+                == _outcome(lambda t: parse_lines(io.StringIO(t)), text))
 
 
 class TestColumnsAndViews:
