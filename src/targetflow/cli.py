@@ -112,7 +112,6 @@ def _cmd_verify(args):
     g, labels = _load_graph(args.graph)
     members = _load_targets(args.targets, labels)
     inv = {i: lab for lab, i in labels.items()}
-    sol = solve(g, members)
     if args.attach:
         nodes = []
         for token in args.attach.split(","):
@@ -124,7 +123,7 @@ def _cmd_verify(args):
         alloc = DriverAllocation(len(nodes),
                                  tuple((k, v) for k, v in enumerate(nodes)))
     else:
-        alloc = allocate_drivers(sol.cover)
+        alloc = allocate_drivers(solve(g, members).cover)
     sysm = certify.realize_system(g, members, alloc, args.seed)
     rank = certify.kalman_target_rank(sysm)
     report = {

@@ -163,8 +163,8 @@ def decompose_cover(cover_edges, targets) -> PathCover:
 
     Targets touching no edge become singleton paths.  Maximal chains are
     peeled from in-degree-zero nodes in ascending id order; what remains is
-    a disjoint union of simple cycles, each reported starting from its
-    smallest node.
+    a disjoint union of simple cycles, peeled in one ascending pass, each
+    reported starting from its smallest node.
 
     Raises:
         ValueError: ``cover_edges`` has a node with in-degree or
@@ -180,8 +180,7 @@ def decompose_cover(cover_edges, targets) -> PathCover:
         nxt[t] = h
         prv[h] = t
 
-    touched = set(nxt) | set(prv)
-    paths = [(v,) for v in sorted(set(targets)) if v not in touched]
+    paths = [(v,) for v in sorted(set(targets).difference(nxt, prv))]
 
     for head in sorted(u for u in nxt if u not in prv):
         chain = [head]
@@ -190,14 +189,12 @@ def decompose_cover(cover_edges, targets) -> PathCover:
         paths.append(tuple(chain))
 
     cycles = []
-    while nxt:
-        start = min(nxt)
-        cyc = [start]
-        node = nxt.pop(start)
-        while node != start:
-            cyc.append(node)
-            node = nxt.pop(node)
-        cycles.append(tuple(cyc))
+    for start in sorted(nxt):  # only cycles are left
+        if start in nxt:
+            cyc = [start]
+            while (node := nxt.pop(cyc[-1])) != start:
+                cyc.append(node)
+            cycles.append(tuple(cyc))
     return PathCover(tuple(paths), tuple(cycles))
 
 

@@ -5,8 +5,8 @@ The solvers run on the int64 arc columns of a
 standing in for ``INF``; residual capacities are int64 too.
 
 One residual engine runs every solver: maximum flow, the saturation of the
-associate graph behind feasible circulations, and the cancellation step of
-the minimum flow, which starts it from the circulation's residual.
+associate graph behind feasible circulations, and the minimum flow, which
+saturates and then cancels on the same engine.
 
 Determinism: arcs are traversed in ascending insertion order everywhere
 (BFS level construction and blocking-flow DFS), so a given network always
@@ -248,40 +248,40 @@ def feasible_circulation(net: BoundedFlowNetwork) -> Optional[FlowAssignment]:
 def min_flow_with_bounds(net: BoundedFlowNetwork) -> FlowAssignment:
     """Feasible flow of minimum source-to-sink value.
 
-    First finds a feasible circulation (adding a temporary unbounded return
-    arc sink -> source unless the network already carries one), then cancels
-    as much of it as possible by maximizing residual flow from sink back to
-    source.  The result's value is the circulation value minus the canceled
-    amount, which is minimal among all feasible flows.
+    Saturates the associate graph, with an unbounded return arc sink ->
+    source added unless one of lower bound zero exists, then closes the
+    return arc and cancels all it can on the same engine by a maximum flow
+    from sink back to source: what is left is minimal among feasible flows.
+
+    Raises:
+        InfeasibleFlowError: no flow satisfies the bounds.
+        ValueError: a second unbounded sink -> source arc, so no minimum.
     """
     n, s, t, m = net.node_count, net.source, net.sink, net.tail.size
     u = net.unbounded
-    back = u[(net.tail[u] == t) & (net.head[u] == s) & (net.lower[u] == 0)]
+    loops = u[(net.tail[u] == t) & (net.head[u] == s)]
+    back = loops[net.lower[loops] == 0]
     if back.size:
-        work, return_pos = net, int(back.min())
+        work, r = net, int(back.min())
     else:
         work = BoundedFlowNetwork.from_columns(
             n, s, t, np.append(net.tail, t), np.append(net.head, s),
             np.append(net.lower, 0), np.append(net.cap, 0), net._tags,
             np.append(u, m))
-        return_pos = m
-
-    circ = feasible_circulation(work)
-    if circ is None:
+        r = m
+    plain, _ = build_associate_graph(work)  # the images are its first arcs
+    engine = _ResidualDinic(n + 2, plain.tail, plain.head, plain.cap)
+    if engine.max_flow(n, n + 1) != sum(work.lower.tolist()):
         raise InfeasibleFlowError("no feasible flow")
-    value0 = circ.flow[return_pos]
-
-    # Residual cancellation: push sink -> source from the circulation,
-    # with the return arc closed both ways.
-    flow = _column(circ.flow)
-    fwd = work.cap - flow
-    rev = flow - work.lower
-    fwd[return_pos] = rev[return_pos] = 0
-    engine = _ResidualDinic(n, work.tail, work.head, fwd, rev)
-    canceled = engine.max_flow(t, s)
-    final = [f + d for f, d in zip(circ.flow, engine.pushed())]
-    final[return_pos] = value0 - canceled
-    return FlowAssignment(tuple(final[:m]), value0 - canceled)
+    if loops.size > bool(back.size):
+        raise ValueError("the minimum flow is unbounded below")
+    # The added source and sink are saturated and drop out of the search.
+    value0 = engine.cap[2 * r + 1]
+    engine.cap[2 * r] = engine.cap[2 * r + 1] = 0
+    value = value0 - engine.max_flow(t, s)
+    final = list(map(add, engine.pushed(), work.lower.tolist()))
+    final[r] = value
+    return FlowAssignment(tuple(final[:m]), value)
 
 
 def validate_assignment(net: BoundedFlowNetwork,

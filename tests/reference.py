@@ -5,8 +5,8 @@ breadth-first distances, subset enumeration, one matrix exponential per
 quadrature sample, Runge-Kutta integration, per-line and per-arc loops)
 and shares no code with the library's solvers; the Gramian reference
 borrows only the library's ``expm``, the parser reference its
-``EdgeListError`` and the network references its ``Arc`` tuple and
-``INF``.
+``EdgeListError``, the network references its ``Arc`` tuple and ``INF``
+and the cover peel its ``PathCover``.
 """
 
 import random
@@ -17,6 +17,7 @@ from itertools import accumulate
 import numpy as np
 
 from targetflow.certify import expm
+from targetflow.cover import PathCover
 from targetflow.graph import EdgeListError
 from targetflow.network import INF, Arc
 
@@ -122,6 +123,32 @@ def circulation_network_arcs(g, targets):
     arcs += [Arc(n + t, h, 0, 1, "edge") for t, h in g.edges]
     arcs.append(Arc(snk, src, 0, INF, "return"))
     return tuple(arcs)
+
+
+def peel_cover(cover_edges, targets):
+    """``PathCover`` of a degree-at-most-one edge set: targets on no edge
+    as singleton paths, chains from in-degree-zero nodes in ascending
+    order, then cycles, each started from the smallest node left, which a
+    scan over all of them finds."""
+    nxt = dict(cover_edges)
+    prv = {h: t for t, h in cover_edges}
+    touched = set(nxt) | set(prv)
+    paths = [(v,) for v in sorted(set(targets)) if v not in touched]
+    for head in sorted(u for u in nxt if u not in prv):
+        chain = [head]
+        while chain[-1] in nxt:
+            chain.append(nxt.pop(chain[-1]))
+        paths.append(tuple(chain))
+    cycles = []
+    while nxt:
+        start = min(nxt)
+        cyc = [start]
+        node = nxt.pop(start)
+        while node != start:
+            cyc.append(node)
+            node = nxt.pop(node)
+        cycles.append(tuple(cyc))
+    return PathCover(tuple(paths), tuple(cycles))
 
 
 def edmonds_karp_value(node_count, arcs, s, t):

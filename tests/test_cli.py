@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import targetflow.cli
 from targetflow import (PathCover, format_edge_list, generate_er,
                         parse_edge_list, solve, verify_cover)
 from targetflow.cli import main
@@ -195,6 +196,17 @@ class TestVerifyCommand:
         assert doc["rank"] < 4
         assert doc["controllable"] is False
         assert doc["passed"] is False
+
+    def test_attachment_needs_no_cover(self, capsys, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("verify --attach solved a cover")
+        monkeypatch.setattr(targetflow.cli, "solve", no_solve)
+        code, out = run(capsys, "verify", GRAPH, TARGETS, "--attach", "7")
+        assert code == 0
+        assert json.loads(out) == {
+            "targets": 4, "drivers": 1, "attachments": [[0, 7]], "rank": 1,
+            "controllable": False, "t_f": 3.0, "tolerance": 0.001,
+            "y_norm": None, "passed": False}
 
     def test_numeric_blowup_exits_3(self, capsys):
         # a horizon this long overflows the exponential

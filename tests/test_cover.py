@@ -1,4 +1,5 @@
 import random
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from targetflow import (INF, Arc, BoundedFlowNetwork, DiGraph, PathCover,
 
 from conftest import random_graph, random_targets
 from reference import (circulation_network_arcs, double_cover_drivers,
-                       min_cover_drivers, target_network_arcs)
+                       min_cover_drivers, peel_cover, target_network_arcs)
 
 
 class TestBuildTargetNetwork:
@@ -150,6 +151,23 @@ class TestDecompose:
         with pytest.raises(ValueError, match="incoming"):
             decompose_cover([(0, 2), (1, 2)], [2])
 
+    def test_matches_reference_peel(self):
+        rng = random.Random(31)
+        shapes = {"path": 0, "cycle": 0, "self-loop": 0, "singleton": 0}
+        for _ in range(400):
+            n = rng.randint(1, 14)
+            tails = rng.sample(range(n), rng.randint(0, n))
+            edges = list(zip(tails, rng.sample(range(n), len(tails))))
+            rng.shuffle(edges)
+            targets = rng.sample(range(n), rng.randint(1, n))
+            cover = decompose_cover(edges, targets)
+            assert cover == peel_cover(edges, targets)
+            shapes["path"] += sum(len(p) > 1 for p in cover.paths)
+            shapes["singleton"] += sum(len(p) == 1 for p in cover.paths)
+            shapes["cycle"] += sum(len(c) > 1 for c in cover.cycles)
+            shapes["self-loop"] += sum(len(c) == 1 for c in cover.cycles)
+        assert min(shapes.values()) > 50, shapes
+
     def test_consumes_every_edge(self):
         rng = random.Random(13)
         for _ in range(200):
@@ -220,6 +238,19 @@ class TestSolve:
                 with pytest.raises(ValueError, match="must be integers"):
                     route(g, targets)
         assert solve(g, np.array([1, 2], dtype=np.int32)).min_drivers == 1
+
+    def test_self_looped_40k_under_5s(self):
+        # a self-loop at every node: tens of thousands of cover cycles
+        g = generate_er(40_000, 3, 1)
+        loops = np.arange(g.n).repeat(2).reshape(-1, 2)
+        g = DiGraph(g.n, np.concatenate((np.stack((g.tail, g.head), 1),
+                                         loops)))
+        start = time.perf_counter()
+        sol = solve(g, range(g.n))
+        elapsed = time.perf_counter() - start
+        assert len(sol.cover.cycles) > 10_000
+        assert verify_cover(g, range(g.n), sol.cover)
+        assert elapsed < 5
 
     def test_full_target_set_matches_matching_count(self):
         rng = random.Random(8)
@@ -300,7 +331,7 @@ class TestColumnNetworks:
         circ, work, plain = [], [], []
         _recording(monkeypatch, targetflow.cover, "build_circulation_network",
                    circ, lambda args, cnet: cnet.net)
-        _recording(monkeypatch, targetflow.flow, "feasible_circulation",
+        _recording(monkeypatch, targetflow.flow, "build_associate_graph",
                    work, lambda args, _: args[0])
         _recording(monkeypatch, targetflow.flow, "build_associate_graph",
                    plain, lambda args, out: out[0])
@@ -347,7 +378,7 @@ class TestColumnNetworks:
         arcs = (Arc(0, 1, 1, 1, "a"), Arc(1, 2, 0, 1), Arc(1, 2, 1, 1, "b"))
         net = BoundedFlowNetwork(3, arcs, 0, 2)
         work = []
-        _recording(monkeypatch, targetflow.flow, "feasible_circulation",
+        _recording(monkeypatch, targetflow.flow, "build_associate_graph",
                    work, lambda args, _: args[0])
         min_flow_with_bounds(net)
         assert work[0].arcs == arcs + (Arc(2, 0, 0, INF),)

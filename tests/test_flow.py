@@ -8,6 +8,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+import targetflow.flow
 from targetflow import (INF, Arc, BoundedFlowNetwork, InfeasibleFlowError,
                         build_associate_graph, build_circulation_network,
                         build_target_network, feasible_circulation,
@@ -275,6 +276,36 @@ class TestMinFlow:
         g, targets = canonical
         cnet = build_circulation_network(g, targets)
         assert min_flow_with_bounds(cnet.net).value == 1
+
+    def test_second_unbounded_return_arc_raises(self):
+        # besides the return arc, an unbounded sink -> source arc would let
+        # the cancellation push the INF sentinel back to the source
+        path = (Arc(0, 1, 1, 1), Arc(1, 2, 1, 1))
+        for back in ((Arc(2, 0, 0, INF), Arc(2, 0, 0, INF)),
+                     (Arc(2, 0, 1, INF),)):
+            net = BoundedFlowNetwork(3, path + back, 0, 2)
+            with pytest.raises(ValueError, match="unbounded"):
+                min_flow_with_bounds(net)
+
+    def test_finite_sink_to_source_arc_bounds_the_cancellation(self):
+        net = BoundedFlowNetwork(
+            3, (Arc(0, 1, 1, 1), Arc(1, 2, 1, 1), Arc(2, 0, 0, 5)), 0, 2)
+        fa = min_flow_with_bounds(net)
+        assert fa == FlowAssignment((1, 1, 5), -4)
+        validate_assignment(net, fa)
+
+    def test_saturates_and_cancels_on_one_engine(self, monkeypatch):
+        built = []
+
+        class Counted(_ResidualDinic):
+            def __init__(self, *args):
+                built.append(args[0])
+                super().__init__(*args)
+        monkeypatch.setattr(targetflow.flow, "_ResidualDinic", Counted)
+        g = generate_er(300, 3, 2)
+        net = build_circulation_network(g, range(0, 300, 3)).net
+        validate_assignment(net, min_flow_with_bounds(net))
+        assert built == [net.node_count + 2]
 
     def test_min_not_above_circulation_value(self):
         rng = random.Random(55)
