@@ -535,6 +535,33 @@ def test_golden_assignments(name):
     assert _digest(*_golden_case(name)) == GOLDEN[name]
 
 
+# ``sha256(repr((value, flow)))`` of ``max_flow_dinic`` on the two 1e5
+# target networks of the benchmark: ER with graph seed 1 and a tenth of
+# the nodes as targets (``Random(2)``), value 5643, and SF with graph seed 1
+# and every node a target, value 56568.  The first 16 hex digits of
+# ``sha256(repr(flow))`` on the same flows are 4b2f771990d53165 (ER) and
+# dbb03dee26dadd72 (SF).
+GOLDEN_1E5 = {
+    "er":
+        "ead2b389a7adb81f5acf2f18e1ed29bc343a2c1aff1f815df6442c113fe70cdd",
+    "sf":
+        "bc0a70ead7e6c88417b95f9a7f523e849bb0631da7af9a90ee1960006ec5d3c3",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_1E5))
+def test_golden_1e5_flows(kind):
+    if kind == "er":
+        g = generate_er(100_000, 3, 1)
+        targets = random.Random(2).sample(range(100_000), 10_000)
+    else:
+        g = generate_sf(100_000, 3, 3, 1)
+        targets = range(100_000)
+    fa = max_flow_dinic(build_target_network(g, targets).net)
+    digest = hashlib.sha256(repr((fa.value, fa.flow)).encode()).hexdigest()
+    assert digest == GOLDEN_1E5[kind]
+
+
 def _dead_end_instance(size, seed):
     """A four-arc source-to-sink path beside a region of ``size`` nodes
     that the source enters directly.  The region's only way out is a
