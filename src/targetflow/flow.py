@@ -60,16 +60,17 @@ class _ResidualDinic:
     """Dinic maximum flow on an int64 residual network.
 
     Arc ``i`` owns slot ``2i`` (forward) and slot ``2i ^ 1`` (reverse).  The
-    slots leaving each node form a CSR in ascending slot order, so every
-    tie-break resolves toward the lowest arc index.  Residual capacities
-    live in an ``array("q")`` that numpy views without copying: level
-    sweeps run as vectorized gathers, the blocking-flow DFS walks flat
-    Python sequences.  ``fwd``/``rev`` give each arc's initial residual
-    capacity both ways, which lets a search start from a nonzero flow.
+    ``_live[u]`` positive-residual slots leaving node ``u`` lead its CSR
+    segment in slot order, so every tie-break resolves toward the lowest
+    arc index; ``_refresh`` rewrites them after each blocking flow or other
+    residual write.  Residuals live in an ``array("q")`` that numpy views
+    without copying: level sweeps gather live slots only, the DFS walks flat
+    Python sequences.  ``fwd``/``rev`` give each arc's initial residual both
+    ways, so a search can start from a nonzero flow.
 
     Each phase sweeps breadth-first from the source, keeping each layer's
-    positive slots into the next layer; a pass back over those layers from
-    the sink keeps a slot iff its head reaches the sink.  The DFS so scans
+    slots into the next layer; a pass back over those layers from the sink
+    keeps a slot iff its head reaches the sink.  The DFS so scans
     only slots on shortest source-to-sink paths.  The others lead to nodes
     that cannot reach the sink in the phase, which a DFS would enter and
     leave without touching a residual: the augmenting paths are the same.
@@ -82,10 +83,14 @@ class _ResidualDinic:
         heads[0::2] = head
         heads[1::2] = tail
         self._head_np = heads  # the tail of slot q is the head of q ^ 1
-        tails = heads.reshape(-1, 2)[:, ::-1].ravel()
+        tails = heads.reshape(-1, 2)[:, ::-1].flatten()
+        tails *= 2  # the sort key: by node, live slots first, by slot
+        tails[0::2] += np.less_equal(fwd, 0)
+        tails[1::2] += np.less_equal(rev, 0)
         self._adj_np = np.argsort(tails, kind="stable")
-        self._deg = np.bincount(tails, minlength=n)
-        self._indptr_np = np.concatenate(([0], self._deg.cumsum()))
+        counts = np.bincount(tails, minlength=2 * n).reshape(n, 2)
+        self._live = counts[:, 0].copy()
+        self._indptr_np = np.concatenate(([0], counts.sum(1).cumsum()))
         self.cap = array("q", [0]) * (2 * m)
         self._cap_np = np.frombuffer(self.cap, dtype=np.int64)
         self._cap_np[0::2] = fwd
@@ -96,32 +101,44 @@ class _ResidualDinic:
         """Net flow each arc gained, in arc order."""
         return (self._fwd - self._cap_np[0::2]).tolist()
 
-    def _gather(self, frontier):
-        """Slots leaving the ``frontier`` nodes, node by node."""
-        starts = self._indptr_np[frontier]
-        counts = self._deg[frontier]
+    def _prefix(self, nodes):
+        """CSR positions of the live slots leaving ``nodes``, node by node."""
+        counts = self._live[nodes]
         ends = counts.cumsum()
-        return self._adj_np[np.arange(ends[-1])
-                            + (starts - ends + counts).repeat(counts)]
+        return np.arange(ends[-1]) + (self._indptr_np[nodes] - ends
+                                      + counts).repeat(counts)
+
+    def _refresh(self, moved):
+        """Rewrite the live prefixes at both ends of the ``moved`` slots."""
+        changed = np.concatenate((moved, moved ^ 1))
+        nodes = _distinct(self._head_np[changed])
+        slots = np.concatenate((self._adj_np[self._prefix(nodes)], changed))
+        span = self._head_np.size
+        key = self._head_np[slots ^ 1] * span + slots
+        tails, slots = np.divmod(_distinct(key[self._cap_np[slots] > 0]), span)
+        self._live[nodes] = np.bincount(tails, minlength=self.n)[nodes]
+        self._adj_np[self._prefix(nodes)] = slots
 
     def max_flow(self, s: int, t: int) -> int:
         total = 0
-        while (csr := self._phase_csr(s, t)) is not None:
-            total += self._blocking_flow(*csr)
+        while (phase := self._phase_csr(s, t)) is not None:
+            slots, before = phase[0], self._cap_np[phase[0]]
+            total += self._blocking_flow(*phase[1:])
+            phase = None  # free the phase lists before the refresh
+            self._refresh(slots[self._cap_np[slots] != before])
         return total
 
     def _phase_csr(self, s: int, t: int):
-        """The phase's slots as ``(flat, nxt, indptr)``, or ``None`` when
-        the sink is out of reach: a CSR over the phase's own node ids, each
-        node's slots in slot order, ``nxt`` each slot's head by that id.
-        The source is the last of these nodes, the sink the one after."""
+        """The phase's slots as an array and as ``(flat, nxt, indptr)``, or
+        ``None`` when the sink is out of reach: a CSR over the phase's own
+        node ids, each node's slots in slot order, ``nxt`` each slot's head
+        by that id.  The source is the last of these nodes, the sink next."""
         unseen = np.ones(self.n, dtype=bool)
         unseen[s] = False
         frontier = np.array([s], dtype=np.int64)
         layers = []
         while frontier.size and unseen[t]:
-            pos = self._gather(frontier)
-            pos = pos[self._cap_np[pos] > 0]
+            pos = self._adj_np[self._prefix(frontier)]
             nxt = self._head_np[pos]
             fresh = unseen[nxt]
             layers.append(pos[fresh])
@@ -143,7 +160,7 @@ class _ResidualDinic:
         local = np.empty(self.n, dtype=np.int64)
         local[tails[indptr[:-1]]] = np.arange(indptr.size - 1)
         local[t] = indptr.size - 1
-        return (flat.tolist(), local[self._head_np[flat]].tolist(),
+        return (flat, flat.tolist(), local[self._head_np[flat]].tolist(),
                 indptr.tolist())
 
     def _blocking_flow(self, flat, nxt, indptr) -> int:
@@ -252,6 +269,8 @@ def min_flow_with_bounds(net: BoundedFlowNetwork) -> FlowAssignment:
     source added unless one of lower bound zero exists, then closes the
     return arc and cancels all it can on the same engine by a maximum flow
     from sink back to source: what is left is minimal among feasible flows.
+    The value is the net source -> sink flow of the arcs other than the
+    return arc, which carries that value back, or nothing if it is negative.
 
     Raises:
         InfeasibleFlowError: no flow satisfies the bounds.
@@ -278,9 +297,10 @@ def min_flow_with_bounds(net: BoundedFlowNetwork) -> FlowAssignment:
     # The added source and sink are saturated and drop out of the search.
     value0 = engine.cap[2 * r + 1]
     engine.cap[2 * r] = engine.cap[2 * r + 1] = 0
+    engine._refresh(np.array([2 * r]))
     value = value0 - engine.max_flow(t, s)
     final = list(map(add, engine.pushed(), work.lower.tolist()))
-    final[r] = value
+    final[r] = max(value, 0)
     return FlowAssignment(tuple(final[:m]), value)
 
 
@@ -332,8 +352,7 @@ def verify_optimality(net: BoundedFlowNetwork,
     frontier = np.array([net.source])
     while frontier.size:
         side[frontier] = True
-        pos = res._gather(frontier)
-        nxt = res._head_np[pos[res._cap_np[pos] > 0]]
+        nxt = res._head_np[res._adj_np[res._prefix(frontier)]]
         frontier = _distinct(nxt[~side[nxt]])
     if side[net.sink]:
         raise ValueError("an augmenting path is left")

@@ -294,6 +294,17 @@ class TestMinFlow:
         assert fa == FlowAssignment((1, 1, 5), -4)
         validate_assignment(net, fa)
 
+    def test_caller_return_arc_carries_no_negative_flow(self):
+        # the finite return arc carries the canceled flow back; the
+        # caller's unbounded one stays at zero, and the value is the net
+        # source-to-sink flow of the other arcs, as without it
+        net = BoundedFlowNetwork(
+            3, (Arc(0, 1, 1, 1), Arc(1, 2, 1, 1), Arc(2, 0, 0, INF),
+                Arc(2, 0, 0, 5)), 0, 2)
+        fa = min_flow_with_bounds(net)
+        assert fa == FlowAssignment((1, 1, 0, 5), -4)
+        validate_assignment(net, fa)
+
     def test_saturates_and_cancels_on_one_engine(self, monkeypatch):
         built = []
 
@@ -598,15 +609,15 @@ def _deep_thin_instance(length, size, seed):
 
 def _phase_slots(engine, s, t):
     """The next phase of ``engine`` as the (tail, slot) pairs that its DFS
-    scans, node by node in ascending node order, and its CSR; ``None`` for
-    both when the sink is out of reach.  Checks that the phase's own node
-    ids name distinct network nodes, that each node's slots leave it, that
-    ``nxt`` names each slot's head, and that the source and the sink come
-    last."""
-    csr = engine._phase_csr(s, t)
-    if csr is None:
+    scans, node by node in ascending node order, and the phase itself;
+    ``None`` for both when the sink is out of reach.  Checks that the
+    phase's own node ids name distinct network nodes, that each node's
+    slots leave it, that ``nxt`` names each slot's head, and that the
+    source and the sink come last."""
+    phase = engine._phase_csr(s, t)
+    if phase is None:
         return None, None
-    flat, nxt, indptr = csr
+    _, flat, nxt, indptr = phase
     heads = engine._head_np.tolist()
     tails = [heads[q ^ 1] for q in range(len(heads))]
     rows = [flat[a:b] for a, b in zip(indptr, indptr[1:])]
@@ -614,7 +625,7 @@ def _phase_slots(engine, s, t):
     assert all(tails[q] == u for u, row in zip(nodes, rows) for q in row)
     assert [nodes[v] for v in nxt] == [heads[q] for q in flat]
     assert len(set(nodes)) == len(nodes) and nodes[-2] == s
-    return [(u, q) for u, row in sorted(zip(nodes, rows)) for q in row], csr
+    return [(u, q) for u, row in sorted(zip(nodes, rows)) for q in row], phase
 
 
 def _slot_case(name):
@@ -638,13 +649,16 @@ def test_first_phase_scans_only_shortest_path_slots(name):
         while True:
             slots = [(heads[q ^ 1], heads[q], c)
                      for q, c in enumerate(engine.cap)]
-            scanned, csr = _phase_slots(engine, s, t)
+            scanned, phase = _phase_slots(engine, s, t)
             # the reference gives no slots exactly when the sink is out of
             # reach
             assert scanned == (shortest_path_slots(slots, s, t) or None)
-            if csr is None:
+            if phase is None:
                 break
-            engine._blocking_flow(*csr)
+            # the blocking flow and the live-prefix refresh of ``max_flow``
+            moved, before = phase[0], engine._cap_np[phase[0]]
+            engine._blocking_flow(*phase[1:])
+            engine._refresh(moved[engine._cap_np[moved] != before])
 
 
 def test_phase_without_path_to_sink_is_none():
@@ -654,6 +668,54 @@ def test_phase_without_path_to_sink_is_none():
     cut = BoundedFlowNetwork(net.node_count, arcs, 0, net.sink)
     engine = _ResidualDinic(cut.node_count, cut.tail, cut.head, cut.cap)
     assert _phase_slots(engine, cut.source, cut.sink) == (None, None)
+
+
+def _assert_live_prefix(engine):
+    """Each node's gathered slots are its positive-residual slots in
+    ascending slot order."""
+    tails = engine._head_np[np.arange(engine._head_np.size) ^ 1]
+    live = np.flatnonzero(engine._cap_np > 0)
+    want = live[np.argsort(tails[live], kind="stable")]
+    got = engine._adj_np[engine._prefix(np.arange(engine.n))]
+    assert got.tolist() == want.tolist()
+    assert engine._live.tolist() == np.bincount(
+        tails[live], minlength=engine.n).tolist()
+
+
+class _Checked(_ResidualDinic):
+    """An engine that checks its live prefixes when built and at the start
+    of each phase, and records the ``(source, sink)`` of each check
+    (``None`` at construction with reverse residual)."""
+
+    entries = []
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        _assert_live_prefix(self)
+        if self._cap_np[1::2].any():
+            self.entries.append(None)
+
+    def _phase_csr(self, s, t):
+        _assert_live_prefix(self)
+        self.entries.append((s, t))
+        return super()._phase_csr(s, t)
+
+
+# every golden case, the cancellation after the return arc is closed, and
+# the certificate's engine built from a nonzero assignment
+@pytest.mark.parametrize("name", GOLDEN)
+def test_live_prefix_at_every_entry(name, monkeypatch):
+    monkeypatch.setattr(targetflow.flow, "_ResidualDinic", _Checked)
+    monkeypatch.setattr(_Checked, "entries", [])
+    solver, nets = _golden_case(name)
+    assert _digest(solver, nets) == GOLDEN[name]
+    if solver is min_flow_with_bounds:
+        # a cancellation runs from each feasible network's sink
+        assert {(net.sink, net.source) for net in nets} & set(_Checked.entries)
+    if solver is max_flow_dinic:
+        for net in nets[:20]:
+            verify_optimality(net, max_flow_dinic(net))
+        assert None in _Checked.entries
 
 
 def _augmenting_path_exists(net, fa):
