@@ -656,9 +656,9 @@ def test_first_phase_scans_only_shortest_path_slots(name):
             if phase is None:
                 break
             # the blocking flow and the live-prefix refresh of ``max_flow``
-            moved, before = phase[0], engine._cap_np[phase[0]]
+            used, before = phase[0], engine._cap_np[phase[0]]
             engine._blocking_flow(*phase[1:])
-            engine._refresh(moved[engine._cap_np[moved] != before])
+            engine._refresh(used[engine._cap_np[used] != before])
 
 
 def test_phase_without_path_to_sink_is_none():
