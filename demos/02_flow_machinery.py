@@ -15,10 +15,11 @@ print("diamond max flow:", assignment.value, "per-arc:", assignment.flow)
 
 # Lower bounds: an arc that must carry at least one unit.  The associate
 # graph moves each lower bound onto arcs from a fresh source / to a fresh
-# sink, so feasibility becomes a saturation test.
+# sink, so feasibility becomes a saturation test.  The images of the
+# network's own arcs come first, in order.
 bounded = BoundedFlowNetwork(
     2, (Arc(0, 1, lower=1, cap=1), Arc(1, 0, lower=0, cap=1)), 0, 1)
-plain, arc_map = build_associate_graph(bounded)
+plain = build_associate_graph(bounded)
 print("associate graph arcs:",
       [(a.tail, a.head, a.cap) for a in plain.arcs])
 

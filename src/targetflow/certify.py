@@ -146,8 +146,8 @@ def controllability_gramian(sys: LtiSystem, t_f: float,
     """Finite-horizon Gramian: the integral over [0, t_f] of
     e^{A (t_f - t)} B B^T e^{A^T (t_f - t)}, by composite Simpson
     quadrature with ``steps`` panels (even, at least 2)."""
-    if t_f <= 0:
-        raise ValueError("t_f must be positive")
+    if not 0 < t_f < np.inf:
+        raise ValueError("t_f must be positive and finite")
     if steps < 2 or steps % 2:
         raise ValueError("steps must be even and at least 2")
     h = t_f / steps
@@ -169,8 +169,8 @@ def _foh(sys, t_f, steps):
     (first-order hold): x_{k+1} = phi x_k + g0 u_k + g1 u_{k+1}, read off
     one block exponential of h [[A, B, 0], [0, 0, I], [0, 0, 0]].  That
     block has norm of order h, so expm needs no squaring at small h."""
-    if t_f <= 0:
-        raise ValueError("t_f must be positive")
+    if not 0 < t_f < np.inf:
+        raise ValueError("t_f must be positive and finite")
     if steps < 1:
         raise ValueError("steps must be at least 1")
     h = t_f / steps

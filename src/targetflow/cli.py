@@ -33,7 +33,7 @@ class _InputError(Exception):
 
 def _load_graph(path):
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return parse_edge_list(fh)
     except (OSError, EdgeListError) as exc:
         raise _InputError(EXIT_PARSE, f"cannot read graph {path}: {exc}") from exc
@@ -41,7 +41,7 @@ def _load_graph(path):
 
 def _load_targets(path, labels):
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise _InputError(EXIT_PARSE, f"cannot read targets {path}: {exc}") from exc

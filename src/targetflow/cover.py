@@ -26,16 +26,6 @@ from .flow import FlowAssignment, max_flow_dinic, min_flow_with_bounds
 from .graph import DiGraph, _repeats
 from .network import BoundedFlowNetwork
 
-TAG_INJECT = "inject"
-TAG_COLLECT = "collect"
-TAG_RELAY = "relay"
-TAG_EDGE = "edge"
-TAG_SOURCE = "source"
-TAG_SINK = "sink"
-TAG_SPLIT = "split"
-TAG_RETURN = "return"
-
-
 @dataclass(frozen=True)
 class PathCover:
     """Vertex-disjoint simple paths and cycles; a length-1 cycle is a
@@ -69,10 +59,12 @@ class TargetFlowNetwork:
     Layout over ``2n + 2`` nodes: the in-copy of graph node ``v`` is ``v``,
     its out-copy is ``n + v``; node ``2n`` collects finished paths and node
     ``2n + 1`` injects them (the flow problem runs from ``2n + 1`` to
-    ``2n``).  Arc classes, in construction order: "inject" arcs from the
-    injector to each target's out-copy, "collect" arcs from each target's
-    in-copy to the collector, "relay" arcs through every non-target, and
-    one "edge" arc per graph edge from tail out-copy to head in-copy.
+    ``2n``).  With ``k`` targets and ``m`` edges, the arc index ranges
+    are: inject arcs from the injector to each target's out-copy in
+    ``[0, k)``, collect arcs from each target's in-copy to the collector in
+    ``[k, 2k)``, relay arcs through each non-target in ``[2k, n + k)``,
+    and one edge arc per graph edge, from tail out-copy to head in-copy,
+    in ``[n + k, n + k + m)``; each class ascends by node or edge.
     ``edge_arcs[i]`` is the arc index carrying graph edge ``i``.
     """
 
@@ -84,9 +76,13 @@ class TargetFlowNetwork:
 
 @dataclass(frozen=True)
 class CirculationNetwork:
-    """Node-split network with unit lower bounds on target pass-through
-    arcs, a unit source/sink arc per node and an unbounded return arc;
-    its minimum source-to-sink flow is the minimum path count."""
+    """Node-split network whose minimum source-to-sink flow is the minimum
+    path count.  Over the nodes of :class:`TargetFlowNetwork`, with source
+    ``2n`` and sink ``2n + 1``, the arc index ranges are: unit source arcs
+    into each in-copy ``[0, n)``, unit sink arcs out of each out-copy
+    ``[n, 2n)``, split arcs from in- to out-copy ``[2n, 3n)``, of lower
+    bound one exactly on targets, edge arcs ``[3n, 3n + m)``, and last the
+    unbounded return arc, ``3n + m``."""
 
     net: BoundedFlowNetwork
     n: int
@@ -108,14 +104,9 @@ def _checked_targets(g: DiGraph, targets) -> tuple[int, ...]:
 
 
 def build_target_network(g: DiGraph, targets) -> TargetFlowNetwork:
-    """Split every node into in/out copies and wire the flow problem whose
-    value is ``|targets| - (minimum path count)``.
-
-    Targets get an inject arc into their out-copy and a collect arc out of
-    their in-copy; non-targets get a relay arc between their copies; every
-    graph edge becomes an arc from tail out-copy to head in-copy.  All
-    capacities are one.
-    """
+    """Split every node into in/out copies and wire the unit-capacity flow
+    problem, laid out as :class:`TargetFlowNetwork` states, whose value is
+    ``|targets| - (minimum path count)``."""
     members = _checked_targets(g, targets)
     n, k, m = g.n, len(members), g.tail.size
     chosen = np.array(members, dtype=np.int64)
@@ -129,8 +120,7 @@ def build_target_network(g: DiGraph, targets) -> TargetFlowNetwork:
     net = BoundedFlowNetwork.from_columns(
         2 * n + 2, injector, collector, tail, head,
         np.zeros(tail.size, dtype=np.int64),
-        np.ones(tail.size, dtype=np.int64),
-        ((TAG_INJECT, k), (TAG_COLLECT, k), (TAG_RELAY, n - k), (TAG_EDGE, m)))
+        np.ones(tail.size, dtype=np.int64))
     return TargetFlowNetwork(net, n, members, range(n + k, n + k + m))
 
 
@@ -219,10 +209,8 @@ def solve(g: DiGraph, targets) -> Solution:
 
 
 def build_circulation_network(g: DiGraph, targets) -> CirculationNetwork:
-    """Full bounded network: unit arcs from the source into every in-copy
-    and from every out-copy into the sink, pass-through arcs with lower
-    bound one exactly on targets, one arc per graph edge, and an unbounded
-    return arc from sink to source."""
+    """Full bounded network, laid out as :class:`CirculationNetwork`
+    states."""
     members = _checked_targets(g, targets)
     n, m = g.n, g.tail.size
     nodes = np.arange(n)
@@ -234,9 +222,7 @@ def build_circulation_network(g: DiGraph, targets) -> CirculationNetwork:
     lower[2 * n + np.array(members)] = 1
     net = BoundedFlowNetwork.from_columns(
         2 * n + 2, src, snk, tail, head, lower,
-        np.ones(tail.size, dtype=np.int64),
-        ((TAG_SOURCE, n), (TAG_SINK, n), (TAG_SPLIT, n), (TAG_EDGE, m),
-         (TAG_RETURN, 1)), [tail.size - 1])
+        np.ones(tail.size, dtype=np.int64), [tail.size - 1])
     return CirculationNetwork(net, n, members, range(3 * n, 3 * n + m),
                               3 * n + m)
 

@@ -43,8 +43,10 @@ def sweep(g: DiGraph, fractions, trials: int, seed: int) -> SweepResult:
     if trials < 1:
         raise ValueError("trials must be at least 1")
     fracs = sorted(float(f) for f in fractions)
-    if not fracs or fracs[0] <= 0 or fracs[-1] > 1:
+    if not fracs or not all(0 < f <= 1 for f in fracs):
         raise ValueError("fractions must lie in (0, 1]")
+    if g.n == 0:
+        raise ValueError("graph has no nodes")
     nd_full = driver_count(g)
     rng = random.Random(seed)
     rows = []

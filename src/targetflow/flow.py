@@ -221,27 +221,26 @@ def max_flow_dinic(net: BoundedFlowNetwork) -> FlowAssignment:
     return FlowAssignment(tuple(engine.pushed()), value)
 
 
-def build_associate_graph(net: BoundedFlowNetwork):
+def build_associate_graph(net: BoundedFlowNetwork) -> BoundedFlowNetwork:
     """Lower-bound elimination transform.
 
     Adds a fresh source/sink pair; every original arc keeps its endpoints
-    and tag with capacity ``cap - lower``, and each node gains an arc from
-    the new source with capacity equal to the sum of lower bounds entering
-    it, plus an arc to the new sink with capacity equal to the sum of lower
-    bounds leaving it.  Returns ``(plain_network, arc_map)`` where
-    ``arc_map[i]`` is the index of the image of original arc ``i``.
+    with capacity ``cap - lower``, and each node gains an arc from the new
+    source with capacity equal to the sum of lower bounds entering it,
+    plus an arc to the new sink with capacity equal to the sum of lower
+    bounds leaving it.  The images of the network's ``m`` arcs are the
+    first ``m`` arcs of the result, in order.
     """
-    n, m = net.node_count, net.tail.size
+    n = net.node_count
     nodes = np.arange(n)
     tail = np.concatenate((net.tail, np.full(n, n), nodes))
     head = np.concatenate((net.head, nodes, np.full(n, n + 1)))
     cap = np.concatenate((net.cap - net.lower,
                           _node_sums(n, net.head, net.lower),
                           _node_sums(n, net.tail, net.lower)))
-    plain = BoundedFlowNetwork.from_columns(
+    return BoundedFlowNetwork.from_columns(
         n + 2, n, n + 1, tail, head, np.zeros(tail.size, dtype=np.int64),
-        cap, net._tags, net.unbounded)
-    return plain, range(m)
+        cap, net.unbounded)
 
 
 def feasible_circulation(net: BoundedFlowNetwork) -> Optional[FlowAssignment]:
@@ -252,8 +251,7 @@ def feasible_circulation(net: BoundedFlowNetwork) -> Optional[FlowAssignment]:
     circulation is ``image flow + lower`` per arc.  The reported value is
     the flow returning from the network's sink to its source.
     """
-    plain, _ = build_associate_graph(net)  # the images are its first arcs
-    assignment = max_flow_dinic(plain)
+    assignment = max_flow_dinic(build_associate_graph(net))
     lower = net.lower.tolist()
     if assignment.value != sum(lower):
         return None
@@ -285,10 +283,9 @@ def min_flow_with_bounds(net: BoundedFlowNetwork) -> FlowAssignment:
     else:
         work = BoundedFlowNetwork.from_columns(
             n, s, t, np.append(net.tail, t), np.append(net.head, s),
-            np.append(net.lower, 0), np.append(net.cap, 0), net._tags,
-            np.append(u, m))
+            np.append(net.lower, 0), np.append(net.cap, 0), np.append(u, m))
         r = m
-    plain, _ = build_associate_graph(work)  # the images are its first arcs
+    plain = build_associate_graph(work)  # the images are its first arcs
     engine = _ResidualDinic(n + 2, plain.tail, plain.head, plain.cap)
     if engine.max_flow(n, n + 1) != sum(work.lower.tolist()):
         raise InfeasibleFlowError("no feasible flow")

@@ -7,7 +7,6 @@ its place, larger than any flow, so that all arithmetic stays integral.
 
 import math
 from functools import cached_property
-from itertools import chain, groupby, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -20,7 +19,6 @@ class Arc(NamedTuple):
     head: int
     lower: int = 0
     cap: int | float = 1
-    tag: str | None = None
 
 
 def _column(values):
@@ -50,27 +48,23 @@ class BoundedFlowNetwork:
     ``lower``, ``cap``, and ``unbounded``, which indexes the ``INF`` arcs.
     Their ``cap`` is the sentinel, 1 plus the sum of the finite capacities
     and lower bounds; a bound or sentinel beyond int64 is a ``ValueError``.
-    Tags are kept as (tag, count) runs in arc order.  ``arcs`` gives the
-    arcs as ``Arc`` tuples, ``INF`` included, built on first access,
-    however the network was made.
+    ``arcs`` gives the arcs as ``Arc`` tuples, ``INF`` included, built on
+    first access, however the network was made.
     """
 
     def __init__(self, node_count: int, arcs, source: int, sink: int):
-        tail, head, lower, cap, tags = tuple(zip(*arcs)) or ((),) * 5
+        tail, head, lower, cap = tuple(zip(*arcs)) or ((),) * 4
         unbounded = [i for i, c in enumerate(cap) if c == INF]
-        self._tags = tuple((tag, len(list(run))) for tag, run in groupby(tags))
         self._init_columns(node_count, source, sink, tail, head, lower,
                            [0 if c == INF else c for c in cap], unbounded)
 
     @classmethod
     def from_columns(cls, node_count: int, source: int, sink: int,
-                     tail, head, lower, cap, tags=(), unbounded=()):
+                     tail, head, lower, cap, unbounded=()):
         """Network over arc columns, which it takes over (not copied) and
-        makes read-only.  ``tags`` gives (tag, count) runs in arc order;
-        arcs past them carry no tag.  ``unbounded`` indexes the arcs of
-        capacity ``INF``; a copy of ``cap`` takes the sentinel there."""
+        makes read-only.  ``unbounded`` indexes the arcs of capacity
+        ``INF``; a copy of ``cap`` takes the sentinel there."""
         net = cls.__new__(cls)
-        net._tags = tuple(tags)
         net._init_columns(node_count, source, sink, tail, head, lower, cap,
                           unbounded)
         return net
@@ -121,14 +115,11 @@ class BoundedFlowNetwork:
 
     @cached_property
     def arcs(self) -> tuple[Arc, ...]:
-        """The arcs as ``Arc`` tuples, tags and ``INF`` included."""
-        tags = chain(chain.from_iterable(repeat(tag, count)
-                                         for tag, count in self._tags),
-                     repeat(None))
+        """The arcs as ``Arc`` tuples, ``INF`` included."""
         cap = self.cap.astype(object)
         cap[self.unbounded] = INF
         return tuple(map(Arc, self.tail.tolist(), self.head.tolist(),
-                         self.lower.tolist(), cap.tolist(), tags))
+                         self.lower.tolist(), cap.tolist()))
 
     def __repr__(self):
         return (f"BoundedFlowNetwork(node_count={self.node_count}, "

@@ -102,11 +102,10 @@ def target_network_arcs(g, targets):
     arc per graph edge."""
     members = sorted(set(targets))
     n = g.n
-    arcs = [Arc(2 * n + 1, n + v, 0, 1, "inject") for v in members]
-    arcs += [Arc(v, 2 * n, 0, 1, "collect") for v in members]
-    arcs += [Arc(v, n + v, 0, 1, "relay") for v in range(n)
-             if v not in members]
-    arcs += [Arc(n + t, h, 0, 1, "edge") for t, h in g.edges]
+    arcs = [Arc(2 * n + 1, n + v, 0, 1) for v in members]
+    arcs += [Arc(v, 2 * n, 0, 1) for v in members]
+    arcs += [Arc(v, n + v, 0, 1) for v in range(n) if v not in members]
+    arcs += [Arc(n + t, h, 0, 1) for t, h in g.edges]
     return tuple(arcs)
 
 
@@ -117,11 +116,11 @@ def circulation_network_arcs(g, targets):
     members = set(targets)
     n = g.n
     src, snk = 2 * n, 2 * n + 1
-    arcs = [Arc(src, v, 0, 1, "source") for v in range(n)]
-    arcs += [Arc(n + v, snk, 0, 1, "sink") for v in range(n)]
-    arcs += [Arc(v, n + v, int(v in members), 1, "split") for v in range(n)]
-    arcs += [Arc(n + t, h, 0, 1, "edge") for t, h in g.edges]
-    arcs.append(Arc(snk, src, 0, INF, "return"))
+    arcs = [Arc(src, v, 0, 1) for v in range(n)]
+    arcs += [Arc(n + v, snk, 0, 1) for v in range(n)]
+    arcs += [Arc(v, n + v, int(v in members), 1) for v in range(n)]
+    arcs += [Arc(n + t, h, 0, 1) for t, h in g.edges]
+    arcs.append(Arc(snk, src, 0, INF))
     return tuple(arcs)
 
 

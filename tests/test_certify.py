@@ -240,8 +240,9 @@ class TestGramian:
     def test_parameter_guards(self, canonical_system):
         g, targets, alloc = canonical_system
         sys = realize_system(g, targets, alloc, seed=0)
-        with pytest.raises(ValueError):
-            controllability_gramian(sys, -1.0, 10)
+        for t_f in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="positive and finite"):
+                controllability_gramian(sys, t_f, 10)
         with pytest.raises(ValueError):
             controllability_gramian(sys, 1.0, 11)
 

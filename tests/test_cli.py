@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -69,6 +70,14 @@ class TestSolveCommand:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "False"
+
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path):
+        gfile, tfile = tmp_path / "g.txt", tmp_path / "t.txt"
+        gfile.write_bytes(b"\xef\xbb\xbf" + Path(GRAPH).read_bytes())
+        tfile.write_bytes(b"\xef\xbb\xbf" + Path(TARGETS).read_bytes())
+        code, out = run(capsys, "solve", str(gfile), str(tfile))
+        assert code == 0
+        assert out == run(capsys, "solve", GRAPH, TARGETS)[1]
 
     def test_missing_file_exits_1(self, capsys):
         code, _ = run(capsys, "solve", "/nonexistent", TARGETS)
@@ -208,9 +217,16 @@ class TestVerifyCommand:
             "controllable": False, "t_f": 3.0, "tolerance": 0.001,
             "y_norm": None, "passed": False}
 
+    @pytest.mark.parametrize("tf", ["nan", "inf"])
+    def test_non_finite_horizon_exits_2(self, capsys, tf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["verify", GRAPH, TARGETS, "--tf", tf])
+        assert code == 2
+        assert "t_f must be positive" in capsys.readouterr().err
+
     def test_numeric_blowup_exits_3(self, capsys):
         # a horizon this long overflows the exponential
-        import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             code, _ = run(capsys, "verify", GRAPH, TARGETS, "--tf", "500")
@@ -256,6 +272,22 @@ class TestSweepCommand:
         code, out = run(capsys, "sweep", "--graph", GRAPH,
                         "--fractions", "1.0", "--trials", "1")
         assert code == 0
+
+    @pytest.mark.parametrize("fractions", ["0.5,nan", "nan,0.5"])
+    def test_nan_fraction_exits_2(self, capsys, fractions):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["sweep", "--graph", GRAPH, "--fractions", fractions,
+                         "--trials", "1"])
+        assert code == 2
+        assert "fractions must lie in (0, 1]" in capsys.readouterr().err
+
+    def test_graph_without_nodes_exits_2(self, capsys, tmp_path):
+        gfile = tmp_path / "empty.txt"
+        gfile.write_text("")
+        code = main(["sweep", "--graph", str(gfile), "--trials", "1"])
+        assert code == 2
+        assert "graph has no nodes" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["er", "sf"])
     def test_golden_csv(self, capsys, kind):

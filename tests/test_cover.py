@@ -20,18 +20,55 @@ from reference import (circulation_network_arcs, double_cover_drivers,
                        min_cover_drivers, peel_cover, target_network_arcs)
 
 
+def _assert_target_layout(g, tnet):
+    """The arc index ranges that ``TargetFlowNetwork`` documents."""
+    n, m, net = g.n, g.tail.size, tnet.net
+    members = list(tnet.targets)
+    k = len(members)
+    others = [v for v in range(n) if v not in members]
+    ranges = {  # (start, stop): (tails, heads)
+        (0, k): ([2 * n + 1] * k, [n + v for v in members]),  # inject
+        (k, 2 * k): (members, [2 * n] * k),  # collect
+        (2 * k, n + k): (others, [n + v for v in others]),  # relay
+        (n + k, n + k + m): ((g.tail + n).tolist(), g.head.tolist()),  # edge
+    }
+    for (start, stop), (tails, heads) in ranges.items():
+        assert net.tail[start:stop].tolist() == tails
+        assert net.head[start:stop].tolist() == heads
+    assert net.tail.size == n + k + m
+    assert tnet.edge_arcs == range(n + k, n + k + m)
+    assert not net.lower.any() and (net.cap == 1).all()
+
+
+def _assert_circulation_layout(g, cnet):
+    """The arc index ranges that ``CirculationNetwork`` documents."""
+    n, m, net = g.n, g.tail.size, cnet.net
+    nodes = list(range(n))
+    ranges = {  # (start, stop): (tails, heads, lowers)
+        (0, n): ([2 * n] * n, nodes, [0] * n),  # source
+        (n, 2 * n): ([n + v for v in nodes], [2 * n + 1] * n, [0] * n),  # sink
+        (2 * n, 3 * n): (nodes, [n + v for v in nodes],
+                         [int(v in cnet.targets) for v in nodes]),  # split
+        (3 * n, 3 * n + m): ((g.tail + n).tolist(), g.head.tolist(),
+                             [0] * m),  # edge
+        (3 * n + m, 3 * n + m + 1): ([2 * n + 1], [2 * n], [0]),  # return
+    }
+    for (start, stop), cols in ranges.items():
+        assert tuple(c[start:stop].tolist()
+                     for c in (net.tail, net.head, net.lower)) == cols
+    assert net.tail.size == 3 * n + m + 1
+    assert cnet.edge_arcs == range(3 * n, 3 * n + m)
+    assert net.unbounded.tolist() == [cnet.return_arc] == [3 * n + m]
+    assert (net.cap[:-1] == 1).all()
+
+
 class TestBuildTargetNetwork:
     def test_canonical_counts(self, canonical):
         g, targets = canonical
         tnet = build_target_network(g, targets)
         assert tnet.net.node_count == 20
         assert len(tnet.net.arcs) == 4 + 4 + 5 + 13
-        tags = [a.tag for a in tnet.net.arcs]
-        assert tags.count("inject") == 4
-        assert tags.count("collect") == 4
-        assert tags.count("relay") == 5
-        assert tags.count("edge") == 13
-        assert all(a.cap == 1 and a.lower == 0 for a in tnet.net.arcs)
+        _assert_target_layout(g, tnet)
 
     def test_isolated_single_target(self):
         g = DiGraph(1, [])
@@ -44,7 +81,7 @@ class TestBuildTargetNetwork:
         g = DiGraph(2, [(0, 1)])
         tnet = build_target_network(g, [0, 1])
         assert len(tnet.net.arcs) == 5
-        assert all(a.tag != "relay" for a in tnet.net.arcs)
+        _assert_target_layout(g, tnet)  # its relay range [4, 4) is empty
 
     def test_empty_targets_rejected(self):
         g = DiGraph(2, [(0, 1)])
@@ -65,8 +102,7 @@ class TestBuildTargetNetwork:
             tnet = build_target_network(g, targets)
             want = target_network_arcs(g, targets)
             assert tnet.net.arcs == want
-            assert [want[i] for i in tnet.edge_arcs] == [
-                a for a in want if a.tag == "edge"]
+            _assert_target_layout(g, tnet)
             assert (tnet.net.node_count, tnet.net.source, tnet.net.sink) == (
                 2 * g.n + 2, 2 * g.n + 1, 2 * g.n)
 
@@ -306,9 +342,7 @@ class TestCirculationRoute:
             cnet = build_circulation_network(g, targets)
             want = circulation_network_arcs(g, targets)
             assert cnet.net.arcs == want
-            assert [want[i] for i in cnet.edge_arcs] == [
-                a for a in want if a.tag == "edge"]
-            assert want[cnet.return_arc].tag == "return"
+            _assert_circulation_layout(g, cnet)
             assert (cnet.net.node_count, cnet.net.source, cnet.net.sink) == (
                 2 * g.n + 2, 2 * g.n, 2 * g.n + 1)
 
@@ -334,17 +368,16 @@ class TestColumnNetworks:
         _recording(monkeypatch, targetflow.flow, "build_associate_graph",
                    work, lambda args, _: args[0])
         _recording(monkeypatch, targetflow.flow, "build_associate_graph",
-                   plain, lambda args, out: out[0])
+                   plain, lambda args, out: out)
         solve_via_circulation(g, random.Random(6).sample(range(g.n), 1000))
         for net in circ + work + plain:
             assert "arcs" not in vars(net)
             assert net.lower.dtype == net.cap.dtype == np.int64
         assert circ and work and plain
 
-    def test_constructor_keeps_arcs_and_tag_runs(self):
-        arcs = (Arc(0, 1, 0, 1, "a"), Arc(0, 2, 1, 2, "a"), Arc(1, 2),
-                Arc(2, 3, 0, INF), Arc(1, 3, 0, 1, "b"), Arc(2, 3, 0, 1, "a"),
-                Arc(1, 2, 0, 3))
+    def test_constructor_keeps_arcs(self):
+        arcs = (Arc(0, 1, 0, 1), Arc(0, 2, 1, 2), Arc(1, 2), Arc(2, 3, 0, INF),
+                Arc(1, 3, 0, 1), Arc(2, 3, 0, 1), Arc(1, 2, 0, 3))
         net = BoundedFlowNetwork(4, arcs, 0, 3)
         assert "arcs" not in vars(net)
         assert net.arcs == arcs
@@ -352,30 +385,22 @@ class TestColumnNetworks:
         assert BoundedFlowNetwork(4, (), 0, 3).arcs == ()
 
     def test_unbounded_arcs_round_trip(self):
-        arcs = (Arc(0, 1, 0, 1, "a"), Arc(0, 2, 1, 2, "a"), Arc(1, 2, 0, INF),
-                Arc(2, 3, 1, INF, "b"), Arc(1, 3, 0, 2))
+        arcs = (Arc(0, 1, 0, 1), Arc(0, 2, 1, 2), Arc(1, 2, 0, INF),
+                Arc(2, 3, 1, INF), Arc(1, 3, 0, 2))
         net = BoundedFlowNetwork(4, arcs, 0, 3)
         assert net.arcs == arcs
         assert BoundedFlowNetwork(4, net.arcs, 0, 3).arcs == arcs
         cols = BoundedFlowNetwork.from_columns(
-            4, 0, 3, net.tail, net.head, net.lower, net.cap, net._tags,
-            net.unbounded)
+            4, 0, 3, net.tail, net.head, net.lower, net.cap, net.unbounded)
         assert cols.arcs == arcs
         assert cols.cap.tolist() == net.cap.tolist() == [1, 2, 8, 8, 2]
-        plain, arc_map = build_associate_graph(net)
-        assert [plain.arcs[i] for i in arc_map] == [
-            a._replace(lower=0, cap=a.cap - a.lower) for a in arcs]
+        plain = build_associate_graph(net)
+        assert plain.arcs[:len(arcs)] == tuple(
+            a._replace(lower=0, cap=a.cap - a.lower) for a in arcs)
 
-    def test_tags_pass_into_derived_networks(self, monkeypatch, canonical):
-        g, targets = canonical
-        cnet = build_circulation_network(g, targets)
-        plain, arc_map = build_associate_graph(cnet.net)
-        m = len(cnet.net.arcs)
-        assert [plain.arcs[i].tag for i in arc_map] == [
-            a.tag for a in cnet.net.arcs]
-        assert all(a.tag is None for a in plain.arcs[m:])
-        # a network without a return arc gets an untagged one to work on
-        arcs = (Arc(0, 1, 1, 1, "a"), Arc(1, 2, 0, 1), Arc(1, 2, 1, 1, "b"))
+    def test_min_flow_appends_return_arc(self, monkeypatch):
+        # a network without a return arc gets one to work on
+        arcs = (Arc(0, 1, 1, 1), Arc(1, 2, 0, 1), Arc(1, 2, 1, 1))
         net = BoundedFlowNetwork(3, arcs, 0, 2)
         work = []
         _recording(monkeypatch, targetflow.flow, "build_associate_graph",
