@@ -5,13 +5,21 @@
 
 from targetflow import (INF, Arc, BoundedFlowNetwork, build_associate_graph,
                         feasible_circulation, max_flow_dinic,
-                        min_flow_with_bounds)
+                        min_flow_with_bounds, verify_optimality)
 
-# Plain maximum flow: two disjoint routes from 0 to 3.
+# Plain maximum flow: two disjoint routes from 0 to 3.  The flow comes as
+# an int64 column, with the source side of a minimum cut: the nodes the
+# engine's last level sweep still reached.  Both arcs out of the source
+# are full here, so that side is the source alone.  verify_optimality
+# checks the flow and the cut by weak duality: the cut's capacity equals
+# the flow value.
 net = BoundedFlowNetwork(
     4, (Arc(0, 1), Arc(0, 2), Arc(1, 3), Arc(2, 3)), source=0, sink=3)
 assignment = max_flow_dinic(net)
-print("diamond max flow:", assignment.value, "per-arc:", assignment.flow)
+print("diamond max flow:", assignment.value,
+      "per-arc:", assignment.flow.tolist(),
+      "cut source side:", assignment.cut.nonzero()[0].tolist())
+verify_optimality(net, assignment)
 
 # Lower bounds: an arc that must carry at least one unit.  The associate
 # graph moves each lower bound onto arcs from a fresh source / to a fresh
@@ -24,7 +32,7 @@ print("associate graph arcs:",
       [(a.tail, a.head, a.cap) for a in plain.arcs])
 
 circ = feasible_circulation(bounded)
-print("circulation flows:", circ.flow)
+print("circulation flows:", circ.flow.tolist())
 
 # Minimum flow: how little can pass from source to sink while every lower
 # bound stays satisfied?  A feasible circulation is found first, then all

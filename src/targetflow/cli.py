@@ -109,6 +109,8 @@ def _cmd_matching(args):
 
 
 def _cmd_verify(args):
+    if not 0 < args.tf < np.inf:  # before the rank test, which ignores it
+        raise ValueError("t_f must be positive and finite")
     g, labels = _load_graph(args.graph)
     members = _load_targets(args.targets, labels)
     inv = {i: lab for lab, i in labels.items()}

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import FlowAssignment, max_flow_dinic, min_flow_with_bounds
+from .flow import (FlowAssignment, max_flow_dinic, min_flow_with_bounds,
+                   verify_optimality)
 from .graph import DiGraph, _repeats
 from .network import BoundedFlowNetwork
 
@@ -133,18 +134,16 @@ def extract_cover_edges(tnet: TargetFlowNetwork | CirculationNetwork,
         ValueError: some node has two selected in-edges or two selected
             out-edges, which no valid assignment can produce.
     """
-    flow = assignment.flow
-    picked = [i for i in tnet.edge_arcs if flow[i] == 1]
-    tails = (tnet.net.tail[picked] - tnet.n).tolist()
-    heads = tnet.net.head[picked].tolist()
-    edges = list(zip(tails, heads))
-    # sets are the cheap test on small covers; the culprit is found only
-    # when there is one
-    if len(set(tails)) < len(edges) or len(set(heads)) < len(edges):
-        bad = _repeats(np.array(tails)) | _repeats(np.array(heads))
-        t, h = edges[bad.argmax()]
-        raise ValueError(f"flow selects conflicting edges at ({t}, {h})")
-    return edges
+    arcs = tnet.edge_arcs
+    picked = arcs.start + np.flatnonzero(
+        np.asarray(assignment.flow)[arcs.start:arcs.stop] == 1)
+    tails, heads = tnet.net.tail[picked] - tnet.n, tnet.net.head[picked]
+    bad = _repeats(tails) | _repeats(heads)
+    if bad.any():
+        i = bad.argmax()
+        raise ValueError(
+            f"flow selects conflicting edges at ({tails[i]}, {heads[i]})")
+    return list(zip(tails.tolist(), heads.tolist()))
 
 
 def decompose_cover(cover_edges, targets) -> PathCover:
@@ -194,12 +193,13 @@ def solve(g: DiGraph, targets) -> Solution:
     the rank test needs), with the covering paths and cycles.
 
     Builds the node-split network, pushes a maximum flow through it,
-    and decomposes the unit-flow edges.  The number of paths always equals
-    ``|targets| - flow value``.
+    checks the flow against its minimum cut, and decomposes the unit-flow
+    edges.  The number of paths always equals ``|targets| - flow value``.
     """
     tnet = build_target_network(g, targets)
     members = tnet.targets
     assignment = max_flow_dinic(tnet.net)
+    verify_optimality(tnet.net, assignment)
     cover = decompose_cover(extract_cover_edges(tnet, assignment), members)
     if len(cover.paths) != len(members) - assignment.value:
         raise AssertionError(

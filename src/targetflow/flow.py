@@ -2,11 +2,14 @@
 
 The solvers run on the int64 arc columns of a
 :class:`~targetflow.network.BoundedFlowNetwork`, which hold the sentinel
-standing in for ``INF``; residual capacities are int64 too.
+standing in for ``INF``; residual capacities and returned flows are int64
+too.
 
 One residual engine runs every solver: maximum flow, the saturation of the
 associate graph behind feasible circulations, and the minimum flow, which
-saturates and then cancels on the same engine.
+saturates and then cancels on the same engine.  A maximum flow comes with
+the minimum cut its last level sweep found, which :func:`verify_optimality`
+checks by weak duality alone.
 
 Determinism: arcs are traversed in ascending insertion order everywhere
 (BFS level construction and blocking-flow DFS), so a given network always
@@ -14,7 +17,6 @@ yields the same flow assignment, not merely the same value.
 """
 
 from array import array
-from operator import add
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -27,11 +29,13 @@ class InfeasibleFlowError(RuntimeError):
 
 
 class FlowAssignment(NamedTuple):
-    """Per-arc integer flows (aligned with the network's arc list) and the
-    net source-to-sink value."""
+    """Per-arc integer flows as an int64 column aligned with the network's
+    arcs, the net source-to-sink value and, for a maximum flow, the source
+    side of a minimum cut as a node mask."""
 
-    flow: tuple[int, ...]
+    flow: np.ndarray
     value: int
+    cut: Optional[np.ndarray] = None
 
 
 def _node_sums(n: int, nodes, values):
@@ -65,8 +69,7 @@ class _ResidualDinic:
     arc index; ``_refresh`` rewrites them after each blocking flow or other
     residual write.  Residuals live in an ``array("q")`` that numpy views
     without copying: level sweeps gather live slots only, the DFS walks flat
-    Python sequences.  ``fwd``/``rev`` give each arc's initial residual both
-    ways, so a search can start from a nonzero flow.
+    Python sequences.
 
     Each phase sweeps breadth-first from the source, keeping each layer's
     slots into the next layer; a pass back over those layers from the sink
@@ -76,7 +79,7 @@ class _ResidualDinic:
     leave without touching a residual: the augmenting paths are the same.
     """
 
-    def __init__(self, n: int, tail, head, fwd, rev=0):
+    def __init__(self, n: int, tail, head, cap):
         self.n = n
         m = len(tail)
         heads = np.empty(2 * m, dtype=np.int64)
@@ -85,21 +88,22 @@ class _ResidualDinic:
         self._head_np = heads  # the tail of slot q is the head of q ^ 1
         tails = heads.reshape(-1, 2)[:, ::-1].flatten()
         tails *= 2  # the sort key: by node, live slots first, by slot
-        tails[0::2] += np.less_equal(fwd, 0)
-        tails[1::2] += np.less_equal(rev, 0)
+        tails[0::2] += np.less_equal(cap, 0)
+        tails[1::2] += 1
         self._adj_np = np.argsort(tails, kind="stable")
         counts = np.bincount(tails, minlength=2 * n).reshape(n, 2)
         self._live = counts[:, 0].copy()
         self._indptr_np = np.concatenate(([0], counts.sum(1).cumsum()))
         self.cap = array("q", [0]) * (2 * m)
         self._cap_np = np.frombuffer(self.cap, dtype=np.int64)
-        self._cap_np[0::2] = fwd
-        self._cap_np[1::2] = rev
+        self._cap_np[0::2] = cap
         self._fwd = self._cap_np[0::2].copy()
 
-    def pushed(self) -> list[int]:
-        """Net flow each arc gained, in arc order."""
-        return (self._fwd - self._cap_np[0::2]).tolist()
+    def pushed(self) -> np.ndarray:
+        """Net flow each arc gained, in arc order, as a read-only column."""
+        flow = self._fwd - self._cap_np[0::2]
+        flow.setflags(write=False)
+        return flow
 
     def _prefix(self, nodes):
         """CSR positions of the live slots leaving ``nodes``, node by node."""
@@ -132,7 +136,8 @@ class _ResidualDinic:
         """The phase's slots as an array and as ``(flat, nxt, indptr)``, or
         ``None`` when the sink is out of reach: a CSR over the phase's own
         node ids, each node's slots in slot order, ``nxt`` each slot's head
-        by that id.  The source is the last of these nodes, the sink next."""
+        by that id.  The source is the last of these nodes, the sink next.
+        A sweep that misses the sink keeps the nodes it reached as ``cut``."""
         unseen = np.ones(self.n, dtype=bool)
         unseen[s] = False
         frontier = np.array([s], dtype=np.int64)
@@ -145,6 +150,7 @@ class _ResidualDinic:
             frontier = _distinct(nxt[fresh])
             unseen[frontier] = False
         if unseen[t]:
+            self.cut = ~unseen
             return None
         alive = np.zeros(self.n, dtype=bool)
         alive[t] = True
@@ -206,7 +212,8 @@ def max_flow_dinic(net: BoundedFlowNetwork) -> FlowAssignment:
     """Maximum integer flow on a network whose lower bounds are all zero.
 
     Repeated breadth-first level graphs with blocking flows on the residual
-    network.  Returns the per-arc flows and the flow value.
+    network.  Returns the per-arc flows, the flow value and the source side
+    of a minimum cut: what the last level sweep reached.
 
     Raises:
         ValueError: a lower bound is nonzero, or a path of unbounded arcs
@@ -218,7 +225,7 @@ def max_flow_dinic(net: BoundedFlowNetwork) -> FlowAssignment:
     value = engine.max_flow(net.source, net.sink)
     if net.unbounded.size and value >= net.cap[net.unbounded[0]]:
         raise ValueError("a path of unbounded arcs joins source to sink")
-    return FlowAssignment(tuple(engine.pushed()), value)
+    return FlowAssignment(engine.pushed(), value, engine.cut)
 
 
 def build_associate_graph(net: BoundedFlowNetwork) -> BoundedFlowNetwork:
@@ -252,12 +259,11 @@ def feasible_circulation(net: BoundedFlowNetwork) -> Optional[FlowAssignment]:
     the flow returning from the network's sink to its source.
     """
     assignment = max_flow_dinic(build_associate_graph(net))
-    lower = net.lower.tolist()
-    if assignment.value != sum(lower):
+    if assignment.value != sum(net.lower.tolist()):
         return None
-    flow = tuple(map(add, assignment.flow, lower))
+    flow = assignment.flow[:net.tail.size] + net.lower
     back = (net.tail == net.sink) & (net.head == net.source)
-    return FlowAssignment(flow, sum(flow[i] for i in np.flatnonzero(back)))
+    return FlowAssignment(flow, sum(flow[back].tolist()))
 
 
 def min_flow_with_bounds(net: BoundedFlowNetwork) -> FlowAssignment:
@@ -296,9 +302,9 @@ def min_flow_with_bounds(net: BoundedFlowNetwork) -> FlowAssignment:
     engine.cap[2 * r] = engine.cap[2 * r + 1] = 0
     engine._refresh(np.array([2 * r]))
     value = value0 - engine.max_flow(t, s)
-    final = list(map(add, engine.pushed(), work.lower.tolist()))
+    final = engine.pushed()[:work.tail.size] + work.lower
     final[r] = max(value, 0)
-    return FlowAssignment(tuple(final[:m]), value)
+    return FlowAssignment(final[:m], value)
 
 
 def validate_assignment(net: BoundedFlowNetwork,
@@ -329,37 +335,27 @@ def validate_assignment(net: BoundedFlowNetwork,
 
 def verify_optimality(net: BoundedFlowNetwork,
                       assignment: FlowAssignment) -> None:
-    """Raise ``ValueError`` unless ``assignment`` is a valid flow whose
-    value equals the capacity of a cut, which makes it maximum.
+    """Raise ``ValueError`` unless ``assignment`` is a valid flow that its
+    ``cut``, a node mask holding the source and not the sink, shows maximum.
 
-    The cut's source side is what a breadth-first search reaches from the
-    source in the residual network of ``assignment``: the sink must lie
-    outside it, each arc out of it must be saturated and each arc into it
-    must carry its lower bound.  An unbounded arc never saturates, so none
-    leaves the cut.  The residual network is rebuilt from ``assignment``
-    alone, and the search shares the engine's CSR but none of its phase
-    code."""
+    By weak duality no flow across the cut exceeds its capacity: that of
+    the arcs leaving it, none unbounded, less the lower bounds of the arcs
+    entering it.  The value must cross the cut and equal that capacity.
+    Nothing here searches or trusts the engine that found the cut."""
     validate_assignment(net, assignment)
-    flow, cap = _column(assignment.flow), net.cap
-    fwd = flow < cap
-    fwd[net.unbounded] = True
-    res = _ResidualDinic(net.node_count, net.tail, net.head, fwd,
-                         flow > net.lower)
-    side = np.zeros(net.node_count, dtype=bool)
-    frontier = np.array([net.source])
-    while frontier.size:
-        side[frontier] = True
-        nxt = res._head_np[res._adj_np[res._prefix(frontier)]]
-        frontier = _distinct(nxt[~side[nxt]])
-    if side[net.sink]:
-        raise ValueError("an augmenting path is left")
+    side = np.asarray(assignment.cut)
+    if side.dtype != bool or side.shape != (net.node_count,):
+        raise ValueError("the cut is not a mask over the nodes")
+    if not side[net.source] or side[net.sink]:
+        raise ValueError("the cut must hold the source and not the sink")
     out, into = side[net.tail], side[net.head]
     leaving, entering = out & ~into, into & ~out
-    bad = leaving & (flow != cap) | entering & (flow != net.lower)
-    if bad.any():
-        i = bad.argmax()
-        raise ValueError(f"{net.arcs[i]} crosses the cut with flow {flow[i]}")
-    cut = sum(flow[leaving].tolist()) - sum(flow[entering].tolist())
-    if cut != assignment.value:
-        raise ValueError(f"cut capacity {cut} differs from the flow value "
-                         f"{assignment.value}")
+    if leaving[net.unbounded].any():
+        raise ValueError("an unbounded arc leaves the cut")
+    flow = _column(assignment.flow)
+    capacity = (sum(net.cap[leaving].tolist())
+                - sum(net.lower[entering].tolist()))
+    across = sum(flow[leaving].tolist()) - sum(flow[entering].tolist())
+    if not capacity == across == assignment.value:
+        raise ValueError(f"cut capacity {capacity}, flow across the cut "
+                         f"{across} and flow value {assignment.value} differ")

@@ -187,6 +187,28 @@ def edmonds_karp_value(node_count, arcs, s, t):
         value += bottleneck
 
 
+def residual_reach(node_count, arcs, flow, s):
+    """Nodes a breadth-first search reaches from ``s`` in the residual
+    network of per-arc ``flow`` over ``Arc`` tuples: forward while below
+    capacity (always on an ``INF`` arc), back while above the lower
+    bound.  After a maximum flow they are the source side of a minimum
+    cut."""
+    out = [[] for _ in range(node_count)]
+    for a, f in zip(arcs, flow):
+        if a.cap == INF or f < a.cap:
+            out[a.tail].append(a.head)
+        if f > a.lower:
+            out[a.head].append(a.tail)
+    seen = {s}
+    queue = deque([s])
+    while queue:
+        for v in out[queue.popleft()]:
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return seen
+
+
 def double_cover_drivers(g):
     """Whole-network driver count ``max(n - m, 1)``, with ``m`` the maximum
     matching of the bipartite double cover as an augmenting-path flow:

@@ -217,13 +217,17 @@ class TestVerifyCommand:
             "controllable": False, "t_f": 3.0, "tolerance": 0.001,
             "y_norm": None, "passed": False}
 
-    @pytest.mark.parametrize("tf", ["nan", "inf"])
+    # with the cover's drivers and with an attachment the rank test fails
+    # on, so the horizon is checked before that test
+    @pytest.mark.parametrize("tf", ["nan", "inf", "-1"])
     def test_non_finite_horizon_exits_2(self, capsys, tf):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = main(["verify", GRAPH, TARGETS, "--tf", tf])
-        assert code == 2
-        assert "t_f must be positive" in capsys.readouterr().err
+        for attach in ([], ["--attach", "7"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["verify", GRAPH, TARGETS, "--tf", tf, *attach])
+            assert code == 2
+            assert ("t_f must be positive and finite"
+                    in capsys.readouterr().err)
 
     def test_numeric_blowup_exits_3(self, capsys):
         # a horizon this long overflows the exponential

@@ -7,12 +7,13 @@ import pytest
 import targetflow.cover
 import targetflow.flow
 import targetflow.matching
-from targetflow import (INF, Arc, BoundedFlowNetwork, DiGraph, PathCover,
-                        allocate_drivers, build_associate_graph,
-                        build_circulation_network, build_target_network,
-                        decompose_cover, driver_count, extract_cover_edges,
-                        generate_er, max_flow_dinic, min_flow_with_bounds,
-                        solve, solve_via_circulation, validate_assignment,
+from targetflow import (INF, Arc, BoundedFlowNetwork, DiGraph,
+                        FlowAssignment, PathCover, allocate_drivers,
+                        build_associate_graph, build_circulation_network,
+                        build_target_network, decompose_cover, driver_count,
+                        extract_cover_edges, generate_er, max_flow_dinic,
+                        max_matching, min_flow_with_bounds, solve,
+                        solve_via_circulation, validate_assignment,
                         verify_cover)
 
 from conftest import random_graph, random_targets
@@ -287,6 +288,22 @@ class TestSolve:
         assert len(sol.cover.cycles) > 10_000
         assert verify_cover(g, range(g.n), sol.cover)
         assert elapsed < 5
+
+    def test_answers_only_a_flow_its_cut_certifies(self, canonical,
+                                                   monkeypatch):
+        # a zero flow handed over with the true minimum cut is consistent
+        # with a cover of one path per target, but the cut's capacity
+        # exceeds its value, so neither route may answer
+        def zero_flow(net):
+            fa = max_flow_dinic(net)
+            return FlowAssignment(np.zeros_like(fa.flow), 0, fa.cut)
+        monkeypatch.setattr(targetflow.cover, "max_flow_dinic", zero_flow)
+        monkeypatch.setattr(targetflow.matching, "max_flow_dinic", zero_flow)
+        g, targets = canonical
+        with pytest.raises(ValueError, match="cut capacity"):
+            solve(g, targets)
+        with pytest.raises(ValueError, match="cut capacity"):
+            max_matching(g)
 
     def test_full_target_set_matches_matching_count(self):
         rng = random.Random(8)

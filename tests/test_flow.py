@@ -1,9 +1,9 @@
 import hashlib
+import itertools
 import math
 import random
 import time
 import warnings
-from collections import deque
 
 import numpy as np
 import pytest
@@ -19,8 +19,8 @@ from targetflow.flow import FlowAssignment, _ResidualDinic
 
 from conftest import random_graph, random_targets
 from reference import (brute_circulation_exists, brute_min_flow_value,
-                       edmonds_karp_value, sample_feasible_flow_value,
-                       shortest_path_slots)
+                       edmonds_karp_value, residual_reach,
+                       sample_feasible_flow_value, shortest_path_slots)
 
 
 def random_network(rng, max_n=12, max_cap=3, with_lowers=False):
@@ -100,7 +100,7 @@ def test_non_integer_flow_rejected_without_warning(f):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="non-integer flow|violates"):
-                check(net, FlowAssignment((f,), 0))
+                check(net, FlowAssignment((f,), 0, np.array([True, False])))
 
 
 def _unbounded_path_networks():
@@ -128,13 +128,17 @@ class TestUnboundedArcs:
 
     def test_cut_left_by_unbounded_arc_rejected(self):
         # the flows that reach the sentinel: 1 on the lone path, and 8 on
-        # the unbounded path beside 2 on the finite one
+        # the unbounded path beside 2 on the finite one.  The unbounded
+        # path leaves every cut holding the source and not the sink.
         for net, fa in zip(_unbounded_path_networks(),
                            (FlowAssignment((1, 1), 1),
                             FlowAssignment((2, 8, 8, 2), 10))):
             validate_assignment(net, fa)
-            with pytest.raises(ValueError, match="augmenting path"):
-                verify_optimality(net, fa)
+            inner = net.node_count - 2
+            for middle in itertools.product((False, True), repeat=inner):
+                cut = np.array((True, *middle, False))
+                with pytest.raises(ValueError, match="unbounded arc leaves"):
+                    verify_optimality(net, fa._replace(cut=cut))
 
     def test_flow_above_sentinel_is_no_violation(self):
         # around the unbounded cycle 1 -> 2 -> 1, whose sentinel is 3, up
@@ -144,16 +148,21 @@ class TestUnboundedArcs:
                 Arc(1, 3, 0, 1)), 0, 3)
         assert net.cap.tolist() == [1, 3, 3, 1]
         for f in (100, 2 ** 70):
-            fa = FlowAssignment((1, f, f, 1), 1)
-            validate_assignment(net, fa)
-            verify_optimality(net, fa)
+            # the cuts {0} and {0, 1, 2}, the second around the cycle
+            for cut in ([True, False, False, False],
+                        [True, True, True, False]):
+                fa = FlowAssignment((1, f, f, 1), 1, np.array(cut))
+                validate_assignment(net, fa)
+                verify_optimality(net, fa)
 
 
 class TestMaxFlow:
     def test_single_arc(self):
         net = BoundedFlowNetwork(2, (Arc(0, 1, 0, 1),), 0, 1)
         fa = max_flow_dinic(net)
-        assert fa.value == 1 and fa.flow == (1,)
+        assert fa.value == 1 and fa.flow.tolist() == [1]
+        assert fa.cut.tolist() == [True, False]
+        assert fa.flow.dtype == np.int64 and not fa.flow.flags.writeable
 
     def test_diamond(self):
         net = BoundedFlowNetwork(
@@ -234,12 +243,12 @@ class TestCirculation:
     def test_zero_lowers_trivially_feasible(self):
         net = BoundedFlowNetwork(3, (Arc(0, 1), Arc(1, 2)), 0, 2)
         fa = feasible_circulation(net)
-        assert fa is not None and fa.flow == (0, 0)
+        assert fa is not None and fa.flow.tolist() == [0, 0]
 
     def test_two_node_cycle(self):
         net = BoundedFlowNetwork(2, (Arc(0, 1, 1, 1), Arc(1, 0, 0, 1)), 0, 1)
         fa = feasible_circulation(net)
-        assert fa is not None and fa.flow == (1, 1)
+        assert fa is not None and fa.flow.tolist() == [1, 1]
 
     def test_infeasible_returns_none(self):
         # lower bound 1 into a dead end can never circulate
@@ -291,7 +300,7 @@ class TestMinFlow:
         net = BoundedFlowNetwork(
             3, (Arc(0, 1, 1, 1), Arc(1, 2, 1, 1), Arc(2, 0, 0, 5)), 0, 2)
         fa = min_flow_with_bounds(net)
-        assert fa == FlowAssignment((1, 1, 5), -4)
+        assert fa.flow.tolist() == [1, 1, 5] and fa.value == -4
         validate_assignment(net, fa)
 
     def test_caller_return_arc_carries_no_negative_flow(self):
@@ -302,7 +311,8 @@ class TestMinFlow:
             3, (Arc(0, 1, 1, 1), Arc(1, 2, 1, 1), Arc(2, 0, 0, INF),
                 Arc(2, 0, 0, 5)), 0, 2)
         fa = min_flow_with_bounds(net)
-        assert fa == FlowAssignment((1, 1, 0, 5), -4)
+        assert fa.flow.tolist() == [1, 1, 0, 5]
+        assert fa.value == -4 and fa.cut is None
         validate_assignment(net, fa)
 
     def test_saturates_and_cancels_on_one_engine(self, monkeypatch):
@@ -339,7 +349,7 @@ class TestMinFlow:
             2, (Arc(0, 1, 1, 1), Arc(1, 0, 0, 1)), 0, 1)
         fa = min_flow_with_bounds(net)
         assert fa.value == 0
-        assert fa.flow == (1, 1)
+        assert fa.flow.tolist() == [1, 1]
 
     def test_minimality_against_enumeration(self):
         rng = random.Random(202)
@@ -483,7 +493,7 @@ def _digest(solver, nets):
             fa = solver(net)
         except InfeasibleFlowError:
             fa = None
-        out.append(None if fa is None else (fa.value, fa.flow))
+        out.append(None if fa is None else (fa.value, tuple(fa.flow.tolist())))
     return hashlib.sha256(repr(out).encode()).hexdigest()
 
 
@@ -569,7 +579,8 @@ def test_golden_1e5_flows(kind):
         g = generate_sf(100_000, 3, 3, 1)
         targets = range(100_000)
     fa = max_flow_dinic(build_target_network(g, targets).net)
-    digest = hashlib.sha256(repr((fa.value, fa.flow)).encode()).hexdigest()
+    flow = tuple(fa.flow.tolist())
+    digest = hashlib.sha256(repr((fa.value, flow)).encode()).hexdigest()
     assert digest == GOLDEN_1E5[kind]
 
 
@@ -685,15 +696,14 @@ def _assert_live_prefix(engine):
 class _Checked(_ResidualDinic):
     """An engine that checks its live prefixes when built and at the start
     of each phase, and records the ``(source, sink)`` of each check
-    (``None`` at construction with reverse residual)."""
+    (``None`` at construction)."""
 
     entries = []
 
     def __init__(self, *args):
         super().__init__(*args)
         _assert_live_prefix(self)
-        if self._cap_np[1::2].any():
-            self.entries.append(None)
+        self.entries.append(None)
 
     def _phase_csr(self, s, t):
         _assert_live_prefix(self)
@@ -701,8 +711,8 @@ class _Checked(_ResidualDinic):
         return super()._phase_csr(s, t)
 
 
-# every golden case, the cancellation after the return arc is closed, and
-# the certificate's engine built from a nonzero assignment
+# every golden case and the cancellation after the return arc is closed;
+# the certificate checks the engine's own cut without building another
 @pytest.mark.parametrize("name", GOLDEN)
 def test_live_prefix_at_every_entry(name, monkeypatch):
     monkeypatch.setattr(targetflow.flow, "_ResidualDinic", _Checked)
@@ -714,27 +724,20 @@ def test_live_prefix_at_every_entry(name, monkeypatch):
         assert {(net.sink, net.source) for net in nets} & set(_Checked.entries)
     if solver is max_flow_dinic:
         for net in nets[:20]:
-            verify_optimality(net, max_flow_dinic(net))
-        assert None in _Checked.entries
+            fa = max_flow_dinic(net)
+            built = len(_Checked.entries)
+            verify_optimality(net, fa)
+            assert len(_Checked.entries) == built
 
 
-def _augmenting_path_exists(net, fa):
-    """Breadth-first search over the residual network of ``fa``, written
-    apart from the library: a maximum flow leaves no source-to-sink path."""
-    out = [[] for _ in range(net.node_count)]
-    for a, f in zip(net.arcs, fa.flow):
-        if a.cap == INF or f < a.cap:
-            out[a.tail].append(a.head)
-        if f > a.lower:
-            out[a.head].append(a.tail)
-    seen = {net.source}
-    queue = deque([net.source])
-    while queue:
-        for v in out[queue.popleft()]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return net.sink in seen
+def _assert_cut_is_residual_reach(net, fa):
+    """The engine's cut is what a search written apart from the library
+    reaches in the residual network of its flow, and leaves out the sink:
+    no augmenting path is left."""
+    reach = residual_reach(net.node_count, net.arcs, fa.flow.tolist(),
+                           net.source)
+    assert net.sink not in reach
+    assert np.flatnonzero(fa.cut).tolist() == sorted(reach)
 
 
 def _check_target_network(n, kind, fraction):
@@ -744,14 +747,15 @@ def _check_target_network(n, kind, fraction):
     net = build_target_network(g, targets).net
     fa = max_flow_dinic(net)
     validate_assignment(net, fa)
-    assert not _augmenting_path_exists(net, fa)
+    _assert_cut_is_residual_reach(net, fa)
     verify_optimality(net, fa)
     assert 0 < fa.value < len(targets)
 
 
 class TestOptimalityAtScale:
     # beyond the reach of the exhaustive oracles: a valid flow with no
-    # augmenting path left is maximum (max-flow/min-cut)
+    # augmenting path left is maximum (max-flow/min-cut), and the cut the
+    # engine ships is the residual reach of its flow
     @pytest.mark.parametrize("kind", ["er", "sf"])
     @pytest.mark.parametrize("fraction", [0.1, 1.0])
     def test_target_network_10k(self, kind, fraction):
@@ -769,23 +773,31 @@ class TestOptimalityAtScale:
         assert sum(a.cap == INF for a in net.arcs) > 100
         fa = max_flow_dinic(net)
         validate_assignment(net, fa)
-        assert not _augmenting_path_exists(net, fa)
+        _assert_cut_is_residual_reach(net, fa)
         verify_optimality(net, fa)
         assert fa.value > 0
 
 
 class TestVerifyOptimality:
     def test_accepts_maximum_flows(self):
-        for net in _random_networks(123, 300):
-            verify_optimality(net, max_flow_dinic(net))
+        for net in (_random_networks(99, 300, max_cap=1)
+                    + _random_networks(123, 300)):
+            fa = max_flow_dinic(net)
+            _assert_cut_is_residual_reach(net, fa)
+            verify_optimality(net, fa)
 
     def test_rejects_flow_with_augmenting_path(self):
+        # the zero flow under the maximum flow's cut, claiming its own
+        # value or the maximum: the cut's capacity exceeds the flow across
         rejected = 0
         for net in _random_networks(123, 300):
-            if max_flow_dinic(net).value:
-                with pytest.raises(ValueError, match="augmenting path"):
-                    verify_optimality(
-                        net, FlowAssignment((0,) * len(net.arcs), 0))
+            fa = max_flow_dinic(net)
+            if fa.value:
+                for value in (0, fa.value):
+                    zero = FlowAssignment(np.zeros_like(fa.flow), value,
+                                          fa.cut)
+                    with pytest.raises(ValueError, match="cut capacity"):
+                        verify_optimality(net, zero)
                 rejected += 1
         assert rejected > 100
 
@@ -793,12 +805,27 @@ class TestVerifyOptimality:
         net = _general_instance(1000, seed=3)
         fa = max_flow_dinic(net)
         with pytest.raises(ValueError, match="cut capacity"):
-            verify_optimality(net, FlowAssignment(fa.flow, fa.value + 1))
+            verify_optimality(net, fa._replace(value=fa.value + 1))
 
     def test_rejects_invalid_flow(self):
         net = BoundedFlowNetwork(2, (Arc(0, 1, 0, 1),), 0, 1)
         with pytest.raises(ValueError, match="bounds"):
-            verify_optimality(net, FlowAssignment((2,), 2))
+            verify_optimality(
+                net, FlowAssignment((2,), 2, np.array([True, False])))
+
+    def test_rejects_a_mask_that_is_no_source_sink_cut(self):
+        net = _general_instance(1000, seed=3)
+        fa = max_flow_dinic(net)
+        s, t = net.source, net.sink
+        without_source, with_sink = fa.cut.copy(), fa.cut.copy()
+        without_source[s], with_sink[t] = False, True
+        for cut, message in (
+                (None, "not a mask"), (fa.cut[:-1], "not a mask"),
+                (fa.cut.astype(np.int64), "not a mask"),
+                (without_source, "hold the source"),
+                (with_sink, "not the sink")):
+            with pytest.raises(ValueError, match=message):
+                verify_optimality(net, fa._replace(cut=cut))
 
     def test_lower_bound_into_source_side_counts_against_cut(self):
         # s=0, a=1, b=2, t=3; b->a must carry 1, so a->t is full and the
@@ -806,9 +833,10 @@ class TestVerifyOptimality:
         net = BoundedFlowNetwork(
             4, (Arc(0, 1, 0, 2), Arc(0, 2, 0, 1), Arc(2, 1, 1, 1),
                 Arc(1, 3, 0, 1)), 0, 3)
-        verify_optimality(net, FlowAssignment((0, 1, 1, 1), 1))
+        cut = np.array([True, True, False, False])
+        verify_optimality(net, FlowAssignment((0, 1, 1, 1), 1, cut))
         with pytest.raises(ValueError, match="cut capacity"):
-            verify_optimality(net, FlowAssignment((0, 1, 1, 1), 2))
+            verify_optimality(net, FlowAssignment((0, 1, 1, 1), 2, cut))
 
 
 class TestInt64Range:
@@ -829,4 +857,4 @@ class TestInt64Range:
             2, (Arc(0, 1, 0, 2 ** 63 - 1), Arc(0, 1, 0, 2 ** 63 - 1)), 0, 1)
         fa = max_flow_dinic(net)
         assert fa.value == 2 ** 64 - 2
-        assert fa.flow == (2 ** 63 - 1, 2 ** 63 - 1)
+        assert fa.flow.tolist() == [2 ** 63 - 1, 2 ** 63 - 1]

@@ -8,7 +8,7 @@ from targetflow import (DiGraph, FlowAssignment, Matching,
                         generate_sf, max_matching, verify_optimality)
 
 from conftest import random_graph
-from reference import brute_max_matching_size
+from reference import brute_max_matching_size, residual_reach
 
 
 def test_chain_matches_both_edges():
@@ -75,7 +75,7 @@ def test_deterministic_pairs():
 def test_large_matching_is_a_certified_maximum_flow(kind):
     # beyond the brute-force oracle: the pairs are edges of g in edge order
     # with no tail or head repeated, and the all-target flow they define
-    # passes the min-cut certificate
+    # passes the min-cut certificate, its cut found apart from the library
     if kind == "er":
         g = generate_er(10_000, 3, 1)
     else:
@@ -95,4 +95,8 @@ def test_large_matching_is_a_certified_maximum_flow(kind):
     flow[tails] = 1
     flow[g.n + heads] = 1
     flow[np.array(tnet.edge_arcs)[order]] = 1
-    verify_optimality(tnet.net, FlowAssignment(tuple(flow.tolist()), m.size))
+    net = tnet.net
+    cut = np.zeros(net.node_count, dtype=bool)
+    cut[list(residual_reach(net.node_count, net.arcs, flow.tolist(),
+                            net.source))] = True
+    verify_optimality(net, FlowAssignment(flow, m.size, cut))
