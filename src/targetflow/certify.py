@@ -120,9 +120,12 @@ def kalman_target_rank(sys: LtiSystem) -> int:
     none ends the basis.  No block outgrows ||A||, and a target that no
     input reaches keeps an exactly zero row in Q.  The rank counts the
     singular values of C Q above RANK_RTOL times the largest; the system is
-    target controllable iff it equals the number of targets.
+    target controllable iff it equals the number k of targets.  They only
+    grow with Q, never past ||C||_2: k above RANK_RTOL ||C||_2 end the basis.
     """
-    q = np.empty((sys.A.shape[0], 0))
+    k = sys.C.shape[0]
+    c_floor = RANK_RTOL * np.linalg.norm(sys.C, 2) if k else 0.0
+    q, cq = np.empty((sys.A.shape[0], 0)), np.empty((k, 0))
     block, floor = sys.B, RANK_RTOL * np.abs(sys.B).max(initial=0.0)
     a_floor = RANK_RTOL * np.abs(sys.A).max(initial=0.0)
     for _ in range(sys.A.shape[0]):  # each pass adds a direction or stops
@@ -135,9 +138,11 @@ def kalman_target_rank(sys: LtiSystem) -> int:
         new[~block.any(axis=1)] = 0.0
         if not new.size:
             break
-        q = np.hstack([q, new])
+        q, cq = np.hstack([q, new]), np.hstack([cq, sys.C @ new])
+        if (np.linalg.svd(cq, compute_uv=False) > c_floor).sum() == k:
+            return k
         block, floor = sys.A @ new, a_floor
-    s = np.linalg.svd(sys.C @ q, compute_uv=False)
+    s = np.linalg.svd(cq, compute_uv=False)
     return int((s > RANK_RTOL * s.max(initial=0.0)).sum())
 
 
@@ -192,37 +197,38 @@ def design_input(sys: LtiSystem, x0, t_f: float,
     endpoints included, of an input linear between samples.  They are the
     least-norm samples, with the two end samples weighted by one half
     (trapezoid), that zero C x(t_f) in the exact response to that input;
-    a QR factorization of the map from samples to outputs gives them.
+    one least-squares solve of the map from samples to outputs gives them.
 
     Raises:
-        NotNumericallyControllable: the map from samples to outputs has a
-            condition number beyond CONDITION_LIMIT.
+        NotNumericallyControllable: the map from samples to outputs has
+            rank below k or condition number beyond CONDITION_LIMIT.
         FloatingPointError: that map leaves the float64 range.
     """
     phi, g0, g1 = _foh(sys, t_f, steps)
     k, m = sys.C.shape[0], sys.B.shape[1]
-    # x(t_f) = phi^steps x0 + sum_j M_j u_j, where M_steps = g1,
-    # M_j = phi^(steps-1-j) (g0 + phi g1) for 0 < j < steps and
-    # M_0 = phi^(steps-1) g0; stack the transposes of H_j = C M_j.
+    # x(t_f) = phi^steps x0 + sum_j M_j u_j, where M_steps = g1, M_0 =
+    # phi^(steps-1) g0 and M_j = phi^(steps-1-j) (g0 + phi g1) otherwise: one
+    # pass over the rows C phi^p gives each H_j = C M_j and C phi^steps x0
     ht = np.empty((steps + 1, m, k))
-    ht[steps] = (sys.C @ g1).T
-    pair = np.hstack([g0 + phi @ g1, g0])
+    rows, mid = sys.C, g0 + phi @ g1
     with np.errstate(over="ignore", invalid="ignore"):
+        ht[steps] = (rows @ g1).T
         for j in range(steps - 1, 0, -1):
-            ht[j] = (sys.C @ pair[:, :m]).T
-            pair = phi @ pair
-        ht[0] = (sys.C @ pair[:, m:]).T
-        y_free = sys.C @ np.linalg.matrix_power(phi, steps) @ x0
+            ht[j] = (rows @ mid).T
+            rows = rows @ phi
+        ht[0] = (rows @ g0).T
+        y_free = rows @ (phi @ x0)
     if not (np.isfinite(ht).all() and np.isfinite(y_free).all()):
         raise FloatingPointError("map from input samples to outputs overflows")
-    # u = v / sqrt(w) for the v of least plain norm: the weight w = 1/2 of
-    # the end samples puts them at the height of their neighbours
+    # u = v / sqrt(w) for the v of least plain norm (end weight w = 1/2);
+    # lstsq returns min(k, samples) singular values; its cutoff is the gate's
     ends = [0, steps]
     ht[ends] *= np.sqrt(2.0)
-    q, r = np.linalg.qr(ht.reshape(-1, k))
-    if not np.linalg.cond(r) <= CONDITION_LIMIT:
+    u, _, _, s = np.linalg.lstsq(ht.reshape(-1, k).T, -y_free,
+                                 rcond=1.0 / CONDITION_LIMIT)
+    if not (s.size == k and 0 < s[0] <= CONDITION_LIMIT * s[-1]):
         raise NotNumericallyControllable("not numerically target controllable")
-    u = (-q @ np.linalg.solve(r.T, y_free)).reshape(steps + 1, m)
+    u = u.reshape(steps + 1, m)
     u[ends] *= np.sqrt(2.0)
     return u
 
@@ -261,11 +267,6 @@ def simulate(sys: LtiSystem, u: np.ndarray, x0, t_f: float,
                 f"state diverged at t={(k + 1) * t_f / steps:.6g}")
         states[k + 1] = x
     return states, sys.C @ x
-
-
-def output_trajectory(sys: LtiSystem, states: np.ndarray) -> np.ndarray:
-    """Target outputs along a state trajectory: rows are time samples."""
-    return states @ sys.C.T
 
 
 def write_trajectory_csv(fileobj, t: np.ndarray, y: np.ndarray) -> None:

@@ -153,8 +153,7 @@ def _cmd_verify(args):
         if args.out:
             t = np.linspace(0.0, args.tf, states.shape[0])
             with open(args.out, "w", encoding="utf-8") as fh:
-                certify.write_trajectory_csv(
-                    fh, t, certify.output_trajectory(sysm, states))
+                certify.write_trajectory_csv(fh, t, states @ sysm.C.T)
     sys.stdout.write(json.dumps(report, indent=2) + "\n")
     return EXIT_OK
 

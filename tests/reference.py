@@ -4,9 +4,12 @@ Everything here is deliberately naive (shortest augmenting paths, plain
 breadth-first distances, subset enumeration, one matrix exponential per
 quadrature sample, Runge-Kutta integration, per-line and per-arc loops)
 and shares no code with the library's solvers; the Gramian reference
-borrows only the library's ``expm``, the parser reference its
+borrows only the library's ``expm``, the QR design reference its
+first-order-hold step ``_foh``, the parser reference its
 ``EdgeListError``, the network references its ``Arc`` tuple and ``INF``
-and the cover peel its ``PathCover``.
+and the cover peel its ``PathCover``.  The full-basis rank and the QR
+design are the plain forms of the library's rank, whose basis stops at
+full rank, and of its least-squares design.
 """
 
 import random
@@ -16,7 +19,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from targetflow.certify import expm
+from targetflow.certify import RANK_RTOL, _foh, expm
 from targetflow.cover import PathCover
 from targetflow.graph import EdgeListError
 from targetflow.network import INF, Arc
@@ -412,6 +415,50 @@ def per_sample_gramian(sys, t_f, steps):
         weight = 1.0 if k in (0, steps) else (4.0 if k % 2 else 2.0)
         w += weight * (phi_b @ phi_b.T)
     return w * (h / 3.0)
+
+
+def full_basis_target_rank(sys):
+    """Kalman target rank from the whole block Arnoldi basis Q of the
+    reachable subspace (no early stop): the number of singular values of
+    C Q above RANK_RTOL times the largest."""
+    q = np.empty((sys.A.shape[0], 0))
+    block, floor = sys.B, RANK_RTOL * np.abs(sys.B).max(initial=0.0)
+    a_floor = RANK_RTOL * np.abs(sys.A).max(initial=0.0)
+    for _ in range(sys.A.shape[0]):
+        for _ in range(2):
+            block = block - q @ (q.T @ block)
+        u, s, _ = np.linalg.svd(block, full_matrices=False)
+        new = u[:, s > floor]
+        new[~block.any(axis=1)] = 0.0
+        if not new.size:
+            break
+        q = np.hstack([q, new])
+        block, floor = sys.A @ new, a_floor
+    s = np.linalg.svd(sys.C @ q, compute_uv=False)
+    return int((s > RANK_RTOL * s.max(initial=0.0)).sum())
+
+
+def qr_design_input(sys, x0, t_f, steps):
+    """Least-norm first-order-hold samples (end samples weighted one half)
+    that zero C x(t_f): the sample maps stepped back from t_f in pairs, the
+    free response by ``matrix_power`` and the samples from a QR
+    factorization of the stacked transposed maps."""
+    phi, g0, g1 = _foh(sys, t_f, steps)
+    k, m = sys.C.shape[0], sys.B.shape[1]
+    ht = np.empty((steps + 1, m, k))
+    ht[steps] = (sys.C @ g1).T
+    pair = np.hstack([g0 + phi @ g1, g0])
+    for j in range(steps - 1, 0, -1):
+        ht[j] = (sys.C @ pair[:, :m]).T
+        pair = phi @ pair
+    ht[0] = (sys.C @ pair[:, m:]).T
+    y_free = sys.C @ np.linalg.matrix_power(phi, steps) @ x0
+    ends = [0, steps]
+    ht[ends] *= np.sqrt(2.0)
+    q, r = np.linalg.qr(ht.reshape(-1, k))
+    u = (-q @ np.linalg.solve(r.T, y_free)).reshape(steps + 1, m)
+    u[ends] *= np.sqrt(2.0)
+    return u
 
 
 def rk4_response(sys, u, x0, t_f, steps):

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 from conftest import random_graph, random_targets
-from reference import per_sample_gramian, rk4_response
+from reference import (full_basis_target_rank, per_sample_gramian,
+                       qr_design_input, rk4_response)
 from targetflow import (DiGraph, DriverAllocation, LtiSystem,
                         NotNumericallyControllable, allocate_drivers, certify,
                         controllability_gramian, design_input, expm,
                         format_edge_list, generate_er, kalman_target_rank,
                         parse_edge_list, realize_system, simulate, solve)
-from targetflow.certify import output_trajectory, write_trajectory_csv
+from targetflow.certify import write_trajectory_csv
 from targetflow.cli import main
 
 
@@ -196,6 +197,54 @@ class TestKalmanRank:
                 reached = _reachable(g, [node])
                 assert kalman_target_rank(sys) <= len(reached & set(targets))
 
+    def test_matches_full_basis_reference(self):
+        # selector C from random allocations, dense C with a repeated row
+        # and A and B scaled far from one; both full and deficient ranks
+        rng, np_rng = random.Random(2024), np.random.default_rng(2024)
+        full = deficient = 0
+        for _ in range(100):
+            g = random_graph(rng, 12, 30)
+            targets = random_targets(rng, g.n)
+            drivers = rng.randint(1, 3)
+            alloc = DriverAllocation(drivers, tuple(
+                (rng.randrange(drivers), rng.randrange(g.n))
+                for _ in range(rng.randint(drivers, 2 * drivers))))
+            sys = realize_system(g, targets, alloc, seed=rng.randrange(10000))
+            dense = np_rng.normal(size=(rng.randint(1, g.n), g.n))
+            dense[-1] = dense[0]  # a repeated row when it has two or more
+            scale_a = 10.0 ** rng.choice([-3, 3])
+            scale_b = 10.0 ** rng.choice([-3, 3])
+            for case in (sys,
+                         LtiSystem(sys.A, sys.B, dense, range(len(dense))),
+                         LtiSystem(scale_a * sys.A, scale_b * sys.B, sys.C,
+                                   sys.targets)):
+                rank = kalman_target_rank(case)
+                assert rank == full_basis_target_rank(case)
+                full += rank == case.C.shape[0]
+                deficient += rank < case.C.shape[0]
+        assert min(full, deficient) >= 50
+
+    def test_basis_stops_at_full_rank(self, canonical_system):
+        # every target has its own driver, so C Q has full rank on the
+        # first block and the basis needs no product with A
+        g, targets, _ = canonical_system
+        alloc = DriverAllocation(4, tuple(enumerate(targets)))
+        sys = realize_system(g, targets, alloc, seed=0)
+        sys.A = sys.A.view(_CountingProducts)
+        _CountingProducts.products = 0
+        assert kalman_target_rank(sys) == 4
+        assert _CountingProducts.products == 0
+
+
+class _CountingProducts(np.ndarray):
+    """An array that counts its left matrix products."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        type(self).products += 1
+        return np.asarray(self) @ other
+
 
 class TestExpm:
     def test_zero_matrix(self):
@@ -336,11 +385,24 @@ class TestDesignAndSimulate:
         with pytest.raises(NotNumericallyControllable):
             design_input(sys, np.ones(2), 3.0, 100)
 
+    def test_fewer_samples_than_targets_rejected(self):
+        # one driver and two samples (steps=1) cannot zero three targets
+        g = DiGraph(3, [(0, 1), (1, 2)])
+        sys = realize_system(g, [0, 1, 2], DriverAllocation(1, ((0, 0),)),
+                             seed=0)
+        with pytest.raises(NotNumericallyControllable):
+            design_input(sys, np.ones(3), 3.0, 1)
+
+    def test_zero_map_rejected(self):
+        sys = LtiSystem(-np.eye(2), np.zeros((2, 1)), np.eye(2), [0, 1])
+        with pytest.raises(NotNumericallyControllable):
+            design_input(sys, np.ones(2), 3.0, 10)
+
     def test_trajectory_csv(self, canonical_system, tmp_path):
         g, targets, alloc = canonical_system
         sys = realize_system(g, targets, alloc, seed=0)
         states, _ = simulate(sys, np.zeros((3, 1)), np.ones(9), 1.0, 10)
-        y = output_trajectory(sys, states)
+        y = states @ sys.C.T
         out = tmp_path / "traj.csv"
         with open(out, "w") as fh:
             write_trajectory_csv(fh, np.linspace(0, 1, 11), y)
@@ -371,6 +433,12 @@ class TestSteppedInputResponse:
             w = controllability_gramian(sys, t_f, steps)
             ref = per_sample_gramian(sys, t_f, steps)
             assert np.abs(w - ref).max() <= 1e-9 * np.abs(ref).max()
+
+    def test_design_matches_qr_reference(self, reference_cases):
+        for sys, x0, t_f, steps in reference_cases:
+            u = design_input(sys, x0, t_f, steps)
+            ref = qr_design_input(sys, x0, t_f, steps)
+            assert np.linalg.norm(u - ref) <= 1e-8 * np.linalg.norm(ref)
 
     def test_design_input_takes_at_most_two_exponentials(
             self, canonical_system, monkeypatch):
