@@ -102,8 +102,11 @@ def expm(m: np.ndarray) -> np.ndarray:
         acc = acc + term
         if np.abs(term).max() <= 1e-18 * np.abs(acc).max():
             break
-    for _ in range(s):
-        acc = acc @ acc
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            acc = acc @ acc
+    if not np.isfinite(acc).all():
+        raise FloatingPointError("matrix exponential overflows")
     return acc
 
 
@@ -210,8 +213,8 @@ def design_input(sys: LtiSystem, x0, t_f: float,
     # phi^(steps-1) g0 and M_j = phi^(steps-1-j) (g0 + phi g1) otherwise: one
     # pass over the rows C phi^p gives each H_j = C M_j and C phi^steps x0
     ht = np.empty((steps + 1, m, k))
-    rows, mid = sys.C, g0 + phi @ g1
     with np.errstate(over="ignore", invalid="ignore"):
+        rows, mid = sys.C, g0 + phi @ g1
         ht[steps] = (rows @ g1).T
         for j in range(steps - 1, 0, -1):
             ht[j] = (rows @ mid).T
@@ -260,12 +263,13 @@ def simulate(sys: LtiSystem, u: np.ndarray, x0, t_f: float,
     x = np.asarray(x0, dtype=float)
     states = np.empty((steps + 1, x.size))
     states[0] = x
-    for k in range(steps):
-        x = x + (increment @ x + drive[k])
-        if not np.isfinite(x).all():
-            raise FloatingPointError(
-                f"state diverged at t={(k + 1) * t_f / steps:.6g}")
-        states[k + 1] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            x = x + (increment @ x + drive[k])
+            if not np.isfinite(x).all():
+                raise FloatingPointError(
+                    f"state diverged at t={(k + 1) * t_f / steps:.6g}")
+            states[k + 1] = x
     return states, sys.C @ x
 
 

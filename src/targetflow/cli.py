@@ -13,7 +13,7 @@ import numpy as np
 from . import certify
 from .cover import DriverAllocation, allocate_drivers, solve
 from .experiments import sweep, sweep_to_csv, sweep_to_json
-from .graph import (EdgeListError, format_edge_list, generate_er,
+from .graph import (_read_labels, format_edge_list, generate_er,
                     generate_sf, parse_edge_list)
 from .matching import driver_count
 
@@ -31,37 +31,36 @@ class _InputError(Exception):
         self.code = code
 
 
-def _load_graph(path):
+def _read(path, what, reader):
     try:
         with open(path, encoding="utf-8-sig") as fh:
-            return parse_edge_list(fh)
-    except (OSError, EdgeListError) as exc:
-        raise _InputError(EXIT_PARSE, f"cannot read graph {path}: {exc}") from exc
+            return reader(fh)
+    except (OSError, ValueError) as exc:  # a UnicodeDecodeError is a ValueError
+        raise _InputError(EXIT_PARSE, f"cannot read {what} {path}: {exc}") from exc
 
 
-def _load_targets(path, labels):
+def _ids(labels, found, what):
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise _InputError(EXIT_PARSE, f"cannot read targets {path}: {exc}") from exc
-    members = []
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            lab = int(line)
-        except ValueError:
-            raise _InputError(EXIT_PARSE,
-                              f"targets {path} line {line_no}: not an integer") from None
-        if lab not in labels:
-            raise _InputError(EXIT_INVALID,
-                              f"target label {lab} does not occur in the graph")
-        members.append(labels[lab])
+        return [labels[lab] for lab in found]
+    except KeyError as exc:
+        raise _InputError(EXIT_INVALID, f"{what} label {exc.args[0]} does "
+                          "not occur in the graph") from None
+
+
+def _load(args):
+    """The graph, its label -> id map, the sorted target ids and the inverse."""
+    g, labels = _read(args.graph, "graph", parse_edge_list)
+    found = _read(args.targets, "targets", lambda fh: _read_labels(fh, 1))
+    members = sorted(set(_ids(labels, found.tolist(), "target")))
     if not members:
         raise _InputError(EXIT_INVALID, "target set is empty")
-    return sorted(set(members))
+    return g, labels, members, {i: lab for lab, i in labels.items()}
+
+
+def _generate(kind, args):
+    if kind == "er":
+        return generate_er(args.n, args.mu, args.seed)
+    return generate_sf(args.n, args.mu, args.gamma, args.seed)
 
 
 def _emit(text, out_path):
@@ -73,11 +72,7 @@ def _emit(text, out_path):
 
 
 def _cmd_gen(args):
-    if args.kind == "er":
-        g = generate_er(args.n, args.mu, args.seed)
-    else:
-        g = generate_sf(args.n, args.mu, args.gamma, args.seed)
-    _emit(format_edge_list(g), args.out)
+    _emit(format_edge_list(_generate(args.kind, args)), args.out)
     return EXIT_OK
 
 
@@ -92,9 +87,7 @@ def _solution_report(sol, alloc, inv):
 
 
 def _cmd_solve(args):
-    g, labels = _load_graph(args.graph)
-    members = _load_targets(args.targets, labels)
-    inv = {i: lab for lab, i in labels.items()}
+    g, _, members, inv = _load(args)
     sol = solve(g, members)
     alloc = allocate_drivers(sol.cover)
     _emit(json.dumps(_solution_report(sol, alloc, inv), indent=2) + "\n",
@@ -103,7 +96,7 @@ def _cmd_solve(args):
 
 
 def _cmd_matching(args):
-    g, _ = _load_graph(args.graph)
+    g, _ = _read(args.graph, "graph", parse_edge_list)
     _emit(f"{driver_count(g)}\n", args.out)
     return EXIT_OK
 
@@ -111,19 +104,10 @@ def _cmd_matching(args):
 def _cmd_verify(args):
     if not 0 < args.tf < np.inf:  # before the rank test, which ignores it
         raise ValueError("t_f must be positive and finite")
-    g, labels = _load_graph(args.graph)
-    members = _load_targets(args.targets, labels)
-    inv = {i: lab for lab, i in labels.items()}
+    g, labels, members, inv = _load(args)
     if args.attach:
-        nodes = []
-        for token in args.attach.split(","):
-            lab = int(token)
-            if lab not in labels:
-                raise _InputError(EXIT_INVALID,
-                                  f"attachment label {lab} not in the graph")
-            nodes.append(labels[lab])
-        alloc = DriverAllocation(len(nodes),
-                                 tuple((k, v) for k, v in enumerate(nodes)))
+        nodes = _ids(labels, map(int, args.attach.split(",")), "attachment")
+        alloc = DriverAllocation(len(nodes), tuple(enumerate(nodes)))
     else:
         alloc = allocate_drivers(solve(g, members).cover)
     sysm = certify.realize_system(g, members, alloc, args.seed)
@@ -160,11 +144,9 @@ def _cmd_verify(args):
 
 def _cmd_sweep(args):
     if args.graph:
-        g, _ = _load_graph(args.graph)
-    elif args.gen == "er":
-        g = generate_er(args.n, args.mu, args.seed)
-    elif args.gen == "sf":
-        g = generate_sf(args.n, args.mu, args.gamma, args.seed)
+        g, _ = _read(args.graph, "graph", parse_edge_list)
+    elif args.gen:
+        g = _generate(args.gen, args)
     else:
         raise _InputError(EXIT_INVALID, "sweep needs --graph or --gen")
     fractions = [float(tok) for tok in args.fractions.split(",")]

@@ -86,25 +86,25 @@ class DiGraph:
         return f"DiGraph(n={self.n}, edges={self.tail.size})"
 
 
-def _label_columns(text: str):
-    """The labels of a plain edge list as one int64 array, each line's tail
-    then head, read by numpy's text reader; ``None`` when the text needs the
-    line loop: for a character other than ASCII digits, blanks and line
+def _label_columns(text: str, width: int):
+    """The labels of a plain list, ``width`` a line, as one int64 array in
+    line order, read by numpy's text reader; ``None`` when the text needs
+    the line loop: for a character other than ASCII digits, blanks and line
     ends (comments included), a carriage return inside a line, a line with
-    neither zero nor two tokens, or a label beyond int64."""
+    neither zero nor ``width`` tokens, or a label beyond int64."""
     if not text.isascii() or text.encode().translate(None, b"0123456789 \t\r\n"):
         return None
     if text.isspace() or not text:  # the reader would warn of no data
         return np.zeros(0, dtype=np.int64)
     try:
-        pairs = np.loadtxt(io.StringIO(text), dtype=np.int64, ndmin=2,
-                           comments=None)
+        rows = np.loadtxt(io.StringIO(text), dtype=np.int64, ndmin=2,
+                          comments=None)
     except (ValueError, OverflowError):
         return None
-    return pairs.ravel() if pairs.shape[1] == 2 else None
+    return rows.ravel() if rows.shape[1] == width else None
 
 
-def _line_labels(lines):
+def _line_labels(lines, width: int):
     """The same labels read line by line, which takes any integer token
     ``int`` takes and names the line of an error.  The array holds Python
     integers when some label is beyond int64."""
@@ -114,19 +114,34 @@ def _line_labels(lines):
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if len(parts) != 2:
-            raise EdgeListError(f"expected 2 tokens, got {len(parts)}", line_no)
+        if len(parts) != width:
+            raise EdgeListError(f"expected {width} tokens, got {len(parts)}", line_no)
         try:
-            a, b = int(parts[0]), int(parts[1])
+            row = list(map(int, parts))
         except ValueError:
             raise EdgeListError(f"non-integer token in {parts!r}", line_no) from None
-        if a < 0 or b < 0:
+        if min(row) < 0:
             raise EdgeListError("labels must be non-negative", line_no)
-        labels += (a, b)
+        labels += row
     try:
         return np.array(labels, dtype=np.int64)
     except OverflowError:
         return np.array(labels, dtype=object)
+
+
+def _read_labels(text, width: int):
+    """The labels of ``text``, ``width`` per line, as one array in line
+    order: the input and the rules of :func:`parse_edge_list`."""
+    from_file = hasattr(text, "read")
+    if from_file:
+        text = text.read()
+    if not isinstance(text, str):
+        return _line_labels(text, width)
+    labels = _label_columns(text, width)
+    if labels is None:
+        labels = _line_labels(
+            text.split("\n") if from_file else text.splitlines(), width)
+    return labels
 
 
 def parse_edge_list(text) -> tuple[DiGraph, dict[int, int]]:
@@ -143,16 +158,7 @@ def parse_edge_list(text) -> tuple[DiGraph, dict[int, int]]:
     Raises:
         EdgeListError: wrong token count, non-integer or negative token.
     """
-    from_file = hasattr(text, "read")
-    if from_file:
-        text = text.read()
-    if isinstance(text, str):
-        labels = _label_columns(text)
-        if labels is None:
-            labels = _line_labels(
-                text.split("\n") if from_file else text.splitlines())
-    else:
-        labels = _line_labels(text)
+    labels = _read_labels(text, 2)
     # relabel by first appearance: a stable sort puts each label's first
     # position in front of its group
     order = np.argsort(labels, kind="stable")

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -397,6 +398,20 @@ class TestDesignAndSimulate:
         sys = LtiSystem(-np.eye(2), np.zeros((2, 1)), np.eye(2), [0, 1])
         with pytest.raises(NotNumericallyControllable):
             design_input(sys, np.ones(2), 3.0, 10)
+
+    # each overflows float64: e^1000, the map of samples to outputs over
+    # 230000 time units, the state past about t = 700
+    @pytest.mark.parametrize("call", [
+        lambda sys: expm(np.array([[1000.0]])),
+        lambda sys: design_input(sys, [1.0], 230000.0),
+        lambda sys: simulate(sys, np.ones(501), [1.0], 1400.0),
+    ], ids=["expm", "design_input", "simulate"])
+    def test_overflow_raises_without_warning(self, call):
+        sys = LtiSystem([[1.0]], [[1.0]], [[1.0]], [0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError):
+                call(sys)
 
     def test_trajectory_csv(self, canonical_system, tmp_path):
         g, targets, alloc = canonical_system

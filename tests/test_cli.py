@@ -93,6 +93,69 @@ class TestSolveCommand:
         assert verify_cover(g, [labels[v] for v in (2, 3, 7, 9)], cover)
 
 
+class TestInputFiles:
+    """Graph and target files go through one reader with one set of rules."""
+
+    @pytest.mark.parametrize("what", ["graph", "targets"])
+    def test_file_not_utf8_exits_1(self, capsys, tmp_path, what):
+        files = {"graph": tmp_path / "g.txt", "targets": tmp_path / "t.txt"}
+        files["graph"].write_bytes(b"1 2\n2 3\n")
+        files["targets"].write_bytes(b"1\n")
+        files[what].write_bytes(b"1 2\n2 \xff3\n" if what == "graph"
+                                else b"1\n\xff\n")
+        code = main(["solve", str(files["graph"]), str(files["targets"])])
+        assert code == 1
+        assert f"cannot read {what} {files[what]}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data", [
+        b"\xef\xbb\xbf2\n3\n7\n9\n",
+        b"2\r\n3\r\n7\r\n9\r\n",
+        b"# targets\n\n2\n  \n3\n# more\n7\n\t\n9\n",
+        b"+2\n3\n7\n9\n",
+    ], ids=["bom", "crlf", "comments", "plus"])
+    def test_target_file_forms(self, capsys, tmp_path, data):
+        tfile = tmp_path / "t.txt"
+        tfile.write_bytes(data)
+        code, out = run(capsys, "solve", GRAPH, str(tfile))
+        assert code == 0
+        assert out == run(capsys, "solve", GRAPH, TARGETS)[1]
+
+    def test_target_label_beyond_int64(self, capsys, tmp_path):
+        big = 2 ** 63
+        gfile, tfile = tmp_path / "g.txt", tmp_path / "t.txt"
+        gfile.write_text(f"{big} 1\n1 2\n")
+        tfile.write_text(f"{big}\n2\n")
+        code, out = run(capsys, "solve", str(gfile), str(tfile))
+        assert code == 0
+        assert json.loads(out)["paths"] == [[big, 1, 2]]
+
+    @pytest.mark.parametrize("text, message", [
+        ("2\n3 7\n", "line 2: expected 1 tokens, got 2"),
+        ("2\n-3\n", "line 2: labels must be non-negative"),
+        ("2\nx\n", "line 2: non-integer token in ['x']"),
+    ], ids=["two-labels", "negative", "non-integer"])
+    def test_target_parse_error_exits_1(self, capsys, tmp_path, text,
+                                        message):
+        tfile = tmp_path / "t.txt"
+        tfile.write_text(text)
+        assert main(["solve", GRAPH, str(tfile)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot read targets {tfile}: {message}\n")
+
+    @pytest.mark.parametrize("text, extra, message", [
+        ("2\n42\n", [], "target label 42 does not occur in the graph"),
+        ("# none\n\n", [], "target set is empty"),
+        ("2\n", ["--attach", "2,42"],
+         "attachment label 42 does not occur in the graph"),
+    ], ids=["unknown-target", "empty", "unknown-attachment"])
+    def test_semantic_errors_exit_2(self, capsys, tmp_path, text, extra,
+                                    message):
+        tfile = tmp_path / "t.txt"
+        tfile.write_text(text)
+        assert main(["verify", GRAPH, str(tfile), *extra]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestGenCommand:
     def test_er_file_lines(self, capsys, tmp_path):
         out_path = tmp_path / "er.txt"
@@ -230,11 +293,12 @@ class TestVerifyCommand:
                     in capsys.readouterr().err)
 
     def test_numeric_blowup_exits_3(self, capsys):
-        # a horizon this long overflows the exponential
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            code, _ = run(capsys, "verify", GRAPH, TARGETS, "--tf", "500")
-        assert code == 3
+        # horizons this long overflow the exponential, with no warning
+        for tf in ("500", "1e300"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, _ = run(capsys, "verify", GRAPH, TARGETS, "--tf", tf)
+            assert code == 3
 
     def test_unreached_target_reports_rank_3_of_4(self, capsys, tmp_path):
         # the raw Krylov powers of this system overflow float64.  Node 500

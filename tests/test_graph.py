@@ -161,7 +161,7 @@ def loop_calls(monkeypatch):
     loop = targetflow.graph._line_labels
     calls = []
     monkeypatch.setattr(targetflow.graph, "_line_labels",
-                        lambda lines: calls.append(1) or loop(lines))
+                        lambda lines, width: calls.append(1) or loop(lines, width))
     return calls
 
 
