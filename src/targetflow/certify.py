@@ -91,7 +91,10 @@ def expm(m: np.ndarray) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     s = 0
-    nrm = np.abs(m).sum(axis=1).max() if m.size else 0.0
+    with np.errstate(over="ignore"):
+        nrm = np.abs(m).sum(axis=1).max() if m.size else 0.0
+    if not np.isfinite(nrm):
+        raise FloatingPointError("matrix exponential overflows")
     while nrm >= 0.5:
         nrm /= 2.0
         s += 1

@@ -67,6 +67,11 @@ class TargetFlowNetwork:
     and one edge arc per graph edge, from tail out-copy to head in-copy,
     in ``[n + k, n + k + m)``; each class ascends by node or edge.
     ``edge_arcs[i]`` is the arc index carrying graph edge ``i``.
+
+    Over ``T`` target sets, set ``c`` is laid out as above on nodes
+    ``[2nc, 2n(c + 1))``, after the arcs of set ``c - 1``, sharing the
+    collector ``2nT`` and injector ``2nT + 1``; ``targets`` and
+    ``edge_arcs`` are set 0's.
     """
 
     net: BoundedFlowNetwork
@@ -104,25 +109,28 @@ def _checked_targets(g: DiGraph, targets) -> tuple[int, ...]:
     return tuple(members)
 
 
-def build_target_network(g: DiGraph, targets) -> TargetFlowNetwork:
+def build_target_network(g: DiGraph, targets, *more) -> TargetFlowNetwork:
     """Split every node into in/out copies and wire the unit-capacity flow
     problem, laid out as :class:`TargetFlowNetwork` states, whose value is
-    ``|targets| - (minimum path count)``."""
-    members = _checked_targets(g, targets)
-    n, k, m = g.n, len(members), g.tail.size
-    chosen = np.array(members, dtype=np.int64)
-    relay = np.ones(n, dtype=bool)
-    relay[chosen] = False
-    relay = np.flatnonzero(relay)
-    collector, injector = 2 * n, 2 * n + 1
-    tail, head = np.concatenate((
-        np.full(k, injector), chosen, relay, g.tail + n,
-        chosen + n, np.full(k, collector), relay + n, g.head)).reshape(2, -1)
+    ``|targets| - (minimum path count)``, summed over ``more`` sets."""
+    sets = [_checked_targets(g, members) for members in (targets, *more)]
+    n, m = g.n, g.tail.size
+    collector, injector = 2 * n * len(sets), 2 * n * len(sets) + 1
+    tails, heads = [], []
+    for base, members in zip(range(0, collector, 2 * n), sets):
+        k = len(members)
+        chosen = np.array(members, dtype=np.int64)
+        relay = np.delete(np.arange(n), chosen) + base
+        chosen += base
+        tails += (np.full(k, injector), chosen, relay, g.tail + (n + base))
+        heads += (chosen + n, np.full(k, collector), relay + n, g.head + base)
+    tail, head = np.concatenate(tails + heads).reshape(2, -1)
     net = BoundedFlowNetwork.from_columns(
-        2 * n + 2, injector, collector, tail, head,
+        collector + 2, injector, collector, tail, head,
         np.zeros(tail.size, dtype=np.int64),
         np.ones(tail.size, dtype=np.int64))
-    return TargetFlowNetwork(net, n, members, range(n + k, n + k + m))
+    k = len(sets[0])
+    return TargetFlowNetwork(net, n, sets[0], range(n + k, n + k + m))
 
 
 def extract_cover_edges(tnet: TargetFlowNetwork | CirculationNetwork,

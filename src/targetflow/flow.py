@@ -16,7 +16,6 @@ Determinism: arcs are traversed in ascending insertion order everywhere
 yields the same flow assignment, not merely the same value.
 """
 
-from array import array
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -67,9 +66,9 @@ class _ResidualDinic:
     ``_live[u]`` positive-residual slots leaving node ``u`` lead its CSR
     segment in slot order, so every tie-break resolves toward the lowest
     arc index; ``_refresh`` rewrites them after each blocking flow or other
-    residual write.  Residuals live in an ``array("q")`` that numpy views
-    without copying: level sweeps gather live slots only, the DFS walks flat
-    Python sequences.
+    residual write.  Level sweeps gather live slots only; the DFS augments
+    a list of the phase slots' residuals, written back once per phase: a
+    level graph never holds a reverse slot.
 
     Each phase sweeps breadth-first from the source, keeping each layer's
     slots into the next layer; a pass back over those layers from the sink
@@ -94,14 +93,13 @@ class _ResidualDinic:
         counts = np.bincount(tails, minlength=2 * n).reshape(n, 2)
         self._live = counts[:, 0].copy()
         self._indptr_np = np.concatenate(([0], counts.sum(1).cumsum()))
-        self.cap = array("q", [0]) * (2 * m)
-        self._cap_np = np.frombuffer(self.cap, dtype=np.int64)
-        self._cap_np[0::2] = cap
-        self._fwd = self._cap_np[0::2].copy()
+        self.cap = np.zeros(2 * m, dtype=np.int64)
+        self.cap[0::2] = cap
+        self._fwd = self.cap[0::2].copy()
 
     def pushed(self) -> np.ndarray:
         """Net flow each arc gained, in arc order, as a read-only column."""
-        flow = self._fwd - self._cap_np[0::2]
+        flow = self._fwd - self.cap[0::2]
         flow.setflags(write=False)
         return flow
 
@@ -119,24 +117,27 @@ class _ResidualDinic:
         slots = np.concatenate((self._adj_np[self._prefix(nodes)], changed))
         span = self._head_np.size
         key = self._head_np[slots ^ 1] * span + slots
-        tails, slots = np.divmod(_distinct(key[self._cap_np[slots] > 0]), span)
+        tails, slots = np.divmod(_distinct(key[self.cap[slots] > 0]), span)
         self._live[nodes] = np.bincount(tails, minlength=self.n)[nodes]
         self._adj_np[self._prefix(nodes)] = slots
 
     def max_flow(self, s: int, t: int) -> int:
         total = 0
         while (phase := self._phase_csr(s, t)) is not None:
-            slots, before = phase[0], self._cap_np[phase[0]]
+            slots = phase[0]
             total += self._blocking_flow(*phase[1:])
+            pushed = self.cap[slots] - phase[1]
             phase = None  # free the phase lists before the refresh
-            self._refresh(slots[self._cap_np[slots] != before])
+            self.cap[slots] -= pushed
+            self.cap[slots ^ 1] += pushed
+            self._refresh(slots[pushed != 0])
         return total
 
     def _phase_csr(self, s: int, t: int):
-        """The phase's slots as an array and as ``(flat, nxt, indptr)``, or
-        ``None`` when the sink is out of reach: a CSR over the phase's own
-        node ids, each node's slots in slot order, ``nxt`` each slot's head
-        by that id.  The source is the last of these nodes, the sink next.
+        """The phase's slots as an array and a CSR ``(res, nxt, indptr)``
+        of them on the phase's own node ids, source last and sink next, or
+        ``None`` when the sink is out of reach: each node's slots in slot
+        order, with their residuals and their heads by that id.
         A sweep that misses the sink keeps the nodes it reached as ``cut``."""
         unseen = np.ones(self.n, dtype=bool)
         unseen[s] = False
@@ -166,26 +167,24 @@ class _ResidualDinic:
         local = np.empty(self.n, dtype=np.int64)
         local[tails[indptr[:-1]]] = np.arange(indptr.size - 1)
         local[t] = indptr.size - 1
-        return (flat, flat.tolist(), local[self._head_np[flat]].tolist(),
-                indptr.tolist())
+        return (flat, self.cap[flat].tolist(),
+                local[self._head_np[flat]].tolist(), indptr.tolist())
 
-    def _blocking_flow(self, flat, nxt, indptr) -> int:
-        """Augment along the phase CSR until no path is left.  A node
-        whose slots are used up keeps its cursor at their end, so a later
-        visit backs out of it at once."""
-        cap = self.cap
+    def _blocking_flow(self, res, nxt, indptr) -> int:
+        """Augment the residuals ``res`` along the phase CSR until no path
+        is left.  A node whose slots are used up keeps its cursor at their
+        end, so a later visit backs out of it at once."""
         t = len(indptr) - 1
         u = s = t - 1
         it = indptr[:-1]
-        path: list[int] = []  # positions in ``flat``
+        path: list[int] = []  # positions in ``res``
         total = 0
         while True:
             if u == t:
-                caps = [cap[flat[k]] for k in path]
+                caps = [res[k] for k in path]
                 aug = min(caps)
                 for k in path:
-                    cap[flat[k]] -= aug
-                    cap[flat[k] ^ 1] += aug
+                    res[k] -= aug
                 total += aug
                 # resume from the tail of the first saturated slot
                 del path[caps.index(aug):]
@@ -193,7 +192,7 @@ class _ResidualDinic:
                 continue
             k = it[u]
             end = indptr[u + 1]
-            while k < end and not cap[flat[k]]:
+            while k < end and not res[k]:
                 k += 1
             it[u] = k
             if k < end:
@@ -298,7 +297,7 @@ def min_flow_with_bounds(net: BoundedFlowNetwork) -> FlowAssignment:
     if loops.size > bool(back.size):
         raise ValueError("the minimum flow is unbounded below")
     # The added source and sink are saturated and drop out of the search.
-    value0 = engine.cap[2 * r + 1]
+    value0 = int(engine.cap[2 * r + 1])
     engine.cap[2 * r] = engine.cap[2 * r + 1] = 0
     engine._refresh(np.array([2 * r]))
     value = value0 - engine.max_flow(t, s)

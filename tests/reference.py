@@ -7,11 +7,15 @@ and shares no code with the library's solvers; the Gramian reference
 borrows only the library's ``expm``, the QR design reference its
 first-order-hold step ``_foh``, the parser reference its
 ``EdgeListError``, the network references its ``Arc`` tuple and ``INF``
-and the cover peel its ``PathCover``.  The full-basis rank and the QR
+and the cover peel its ``PathCover``.  The reference sweep is the
+exception: it runs the library's ``solve`` and ``driver_count`` one trial
+at a time and prints with its ``sweep_to_csv``, to check the batching of
+trials, not the counts.  The full-basis rank and the QR
 design are the plain forms of the library's rank, whose basis stops at
 full rank, and of its least-squares design.
 """
 
+import math
 import random
 from bisect import bisect_right
 from collections import defaultdict, deque
@@ -20,8 +24,10 @@ from itertools import accumulate
 import numpy as np
 
 from targetflow.certify import RANK_RTOL, _foh, expm
-from targetflow.cover import PathCover
+from targetflow.cover import PathCover, solve
+from targetflow.experiments import SweepResult, SweepRow, sweep_to_csv
 from targetflow.graph import EdgeListError
+from targetflow.matching import driver_count
 from targetflow.network import INF, Arc
 
 
@@ -486,3 +492,21 @@ def rk4_response(sys, u, x0, t_f, steps):
         k4 = a @ (x + h * k3) + b @ u1
         x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
     return x
+
+
+def per_trial_sweep(g, fractions, trials, seed):
+    """The fraction sweep's CSV with one ``solve`` per trial: the same
+    random target sets, drawn in (fraction, trial) order, and the same row
+    arithmetic as ``sweep``."""
+    nd_full = driver_count(g)
+    rng = random.Random(seed)
+    rows = []
+    for f in sorted(fractions):
+        size = max(1, round(f * g.n))
+        counts = [solve(g, sorted(rng.sample(range(g.n), size))).min_drivers
+                  for _ in range(trials)]
+        ratios = [c / nd_full for c in counts]
+        mean = sum(ratios) / trials
+        std = math.sqrt(sum((r - mean) ** 2 for r in ratios) / trials)
+        rows.append(SweepRow(f, trials, sum(counts) / trials, mean, std))
+    return sweep_to_csv(SweepResult(tuple(rows), nd_full))

@@ -399,13 +399,15 @@ class TestDesignAndSimulate:
         with pytest.raises(NotNumericallyControllable):
             design_input(sys, np.ones(2), 3.0, 10)
 
-    # each overflows float64: e^1000, the map of samples to outputs over
-    # 230000 time units, the state past about t = 700
+    # each overflows float64: e^1000, the row-sum norm of finite entries,
+    # the map of samples to outputs over 230000 time units, the state past
+    # about t = 700
     @pytest.mark.parametrize("call", [
         lambda sys: expm(np.array([[1000.0]])),
+        lambda sys: expm(np.full((3, 3), 1e308)),
         lambda sys: design_input(sys, [1.0], 230000.0),
         lambda sys: simulate(sys, np.ones(501), [1.0], 1400.0),
-    ], ids=["expm", "design_input", "simulate"])
+    ], ids=["expm", "expm_norm", "design_input", "simulate"])
     def test_overflow_raises_without_warning(self, call):
         sys = LtiSystem([[1.0]], [[1.0]], [[1.0]], [0])
         with warnings.catch_warnings():

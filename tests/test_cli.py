@@ -300,6 +300,19 @@ class TestVerifyCommand:
                 code, _ = run(capsys, "verify", GRAPH, TARGETS, "--tf", tf)
             assert code == 3
 
+    def test_overflowing_norm_exits_3(self, capsys, tmp_path):
+        # a star of in-degree 1000: the row-sum norm of the exponential's
+        # argument overflows at this horizon, though each entry is finite
+        gfile = tmp_path / "g.txt"
+        gfile.write_text("".join(f"{i} 0\n" for i in range(1, 1001)))
+        tfile = tmp_path / "t.txt"
+        tfile.write_text("0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["verify", str(gfile), str(tfile), "--tf", "1.7e308"])
+        assert code == 3
+        assert "matrix exponential overflows" in capsys.readouterr().err
+
     def test_unreached_target_reports_rank_3_of_4(self, capsys, tmp_path):
         # the raw Krylov powers of this system overflow float64.  Node 500
         # enters the edge list through a self-loop and stays unreachable

@@ -14,7 +14,7 @@ from targetflow import (INF, Arc, BoundedFlowNetwork, DiGraph,
                         extract_cover_edges, generate_er, max_flow_dinic,
                         max_matching, min_flow_with_bounds, solve,
                         solve_via_circulation, validate_assignment,
-                        verify_cover)
+                        verify_cover, verify_optimality)
 
 from conftest import random_graph, random_targets
 from reference import (circulation_network_arcs, double_cover_drivers,
@@ -123,6 +123,58 @@ class TestBuildTargetNetwork:
             answer(g)
             assert "edges" not in vars(g)
             assert len(nets) == 1 and "arcs" not in vars(nets[0].net)
+
+
+class TestTargetNetworkUnion:
+    # five random target sets and, third, the isolated node, whose set
+    # takes no flow.  Each component is the one-set network with its nodes
+    # moved, and gets arc for arc the flow of a separate max flow.
+    @pytest.mark.parametrize("fraction", [0.1, 0.5, 1.0])
+    def test_components_get_their_separate_flows(self, fraction):
+        er = generate_er(300, 3, 7)
+        g = DiGraph(er.n + 1, er.edges)
+        rng = random.Random(fraction)
+        size = max(1, round(fraction * g.n))
+        sets = [sorted(rng.sample(range(g.n), size)) for _ in range(5)]
+        sets.insert(2, [er.n])
+        union = build_target_network(g, *sets)
+        n, count = g.n, len(sets)
+        net = union.net
+        assert (net.node_count, net.source, net.sink) == (
+            2 * n * count + 2, 2 * n * count + 1, 2 * n * count)
+        fa = max_flow_dinic(net)
+        verify_optimality(net, fa)
+        start, flows = 0, []
+        injected = np.flatnonzero(net.tail == net.source).tolist()
+        for c, members in enumerate(sets):
+            alone = build_target_network(g, members)
+            own = max_flow_dinic(alone.net)
+            span = alone.net.tail.size
+            moved = np.append(np.arange(2 * n) + 2 * n * c,
+                              [2 * n * count, 2 * n * count + 1])
+            arcs = slice(start, start + span)
+            assert net.tail[arcs].tolist() == moved[alone.net.tail].tolist()
+            assert net.head[arcs].tolist() == moved[alone.net.head].tolist()
+            # the injector's arcs, set by set
+            inject = range(start, start + len(members))
+            assert injected[:len(members)] == list(inject)
+            del injected[:len(members)]
+            assert fa.flow[arcs].tolist() == own.flow.tolist()
+            flows.append(int(fa.flow[inject.start:inject.stop].sum()))
+            assert flows[-1] == own.value
+            start += span
+        assert start == net.tail.size and not injected
+        assert flows[2] == 0 and min(flows[:2] + flows[3:]) > 0
+        assert fa.value == sum(flows)
+        assert union.targets == tuple(sets[0])
+        assert union.edge_arcs == build_target_network(g, sets[0]).edge_arcs
+
+    def test_every_set_is_checked(self):
+        g = DiGraph(2, [(0, 1)])
+        with pytest.raises(ValueError, match="empty target set"):
+            build_target_network(g, [0], [])
+        with pytest.raises(ValueError, match="out of range"):
+            build_target_network(g, [0], [1], [2])
 
 
 class TestExtractCoverEdges:

@@ -1,9 +1,13 @@
 import json
+import random
 
 import pytest
 
-from targetflow import (DiGraph, generate_er, sweep, sweep_to_csv,
-                        sweep_to_json)
+import targetflow.experiments
+from targetflow import (DiGraph, generate_er, generate_sf, sweep,
+                        sweep_to_csv, sweep_to_json)
+
+from reference import per_trial_sweep
 
 
 @pytest.fixture(scope="module")
@@ -67,3 +71,45 @@ def test_tiny_fraction_still_samples_one_node():
     g = DiGraph(4, [(0, 1), (1, 2), (2, 3)])
     res = sweep(g, [0.01], trials=2, seed=0)
     assert res.rows[0].mean_nd >= 1.0
+
+
+def _count_batches(monkeypatch):
+    """The number of target sets in each network the sweep builds."""
+    batches = []
+    build = targetflow.experiments.build_target_network
+
+    def spy(g, *sets):
+        batches.append(len(sets))
+        return build(g, *sets)
+
+    monkeypatch.setattr(targetflow.experiments, "build_target_network", spy)
+    return batches
+
+
+# small random ER and SF graphs, at the arc bound and at bounds that hold
+# one to a few trials, so that 7 trials leave a partial batch
+def test_batches_match_per_trial_reference(monkeypatch):
+    batches = _count_batches(monkeypatch)
+    default = targetflow.experiments._BATCH_ARCS
+    rng = random.Random(25)
+    for case in range(36):
+        n = rng.randint(2, 80)
+        g = (generate_er(n, rng.choice([1.0, 2.0, 3.0]), case) if case % 2
+             else generate_sf(n, rng.choice([2.0, 3.0]), 2.5, case))
+        bound = (default if case % 3 == 0
+                 else rng.randint(g.n, 4 * (2 * g.n + g.tail.size)))
+        monkeypatch.setattr(targetflow.experiments, "_BATCH_ARCS", bound)
+        fractions = rng.sample([0.05, 0.2, 0.5, 0.8, 1.0], 3)
+        seed = rng.randrange(1000)
+        assert sweep_to_csv(sweep(g, fractions, 7, seed)) == \
+            per_trial_sweep(g, fractions, 7, seed)
+    assert {1, 7} <= set(batches) and set(batches) & {2, 3, 4, 5, 6}
+
+
+def test_trial_over_the_arc_bound_runs_alone(monkeypatch):
+    g = generate_er(6000, 3, 4)
+    assert g.n + 1 + g.tail.size > targetflow.experiments._BATCH_ARCS
+    batches = _count_batches(monkeypatch)
+    assert sweep_to_csv(sweep(g, [0.01, 1.0], 3, 8)) == \
+        per_trial_sweep(g, [0.01, 1.0], 3, 8)
+    assert batches == [1] * 6

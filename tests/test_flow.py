@@ -623,12 +623,13 @@ def _phase_slots(engine, s, t):
     scans, node by node in ascending node order, and the phase itself;
     ``None`` for both when the sink is out of reach.  Checks that the
     phase's own node ids name distinct network nodes, that each node's
-    slots leave it, that ``nxt`` names each slot's head, and that the
-    source and the sink come last."""
-    phase = engine._phase_csr(s, t)
+    slots leave it, that ``res`` holds each slot's residual, that ``nxt``
+    names each slot's head, and that the source and the sink come last."""
+    phase = _ResidualDinic._phase_csr(engine, s, t)
     if phase is None:
         return None, None
-    _, flat, nxt, indptr = phase
+    flat, res, nxt, indptr = phase[0].tolist(), *phase[1:]
+    assert res == engine.cap[phase[0]].tolist()
     heads = engine._head_np.tolist()
     tails = [heads[q ^ 1] for q in range(len(heads))]
     rows = [flat[a:b] for a, b in zip(indptr, indptr[1:])]
@@ -648,28 +649,30 @@ def _slot_case(name):
 
 
 # small random networks, single networks of 2500 to 3000 arcs, and a
-# phase of about 500 layers.  Every phase is checked, the first and each
-# one after a blocking flow, against the residual it starts from.
+# phase of about 500 layers.  Every phase of ``max_flow`` is checked, the
+# first and each one after a blocking flow and its write-back, against the
+# residual it starts from.
 @pytest.mark.parametrize("name", ["unit", "unit_midsize", "general",
                                   "general_midsize", "dead_end", "deep_thin"])
 def test_first_phase_scans_only_shortest_path_slots(name):
     for net in _slot_case(name):
-        s, t = net.source, net.sink
         engine = _ResidualDinic(net.node_count, net.tail, net.head, net.cap)
         heads = engine._head_np.tolist()
-        while True:
+        found = []
+
+        def checked_phase(s, t):
             slots = [(heads[q ^ 1], heads[q], c)
-                     for q, c in enumerate(engine.cap)]
+                     for q, c in enumerate(engine.cap.tolist())]
             scanned, phase = _phase_slots(engine, s, t)
             # the reference gives no slots exactly when the sink is out of
             # reach
             assert scanned == (shortest_path_slots(slots, s, t) or None)
-            if phase is None:
-                break
-            # the blocking flow and the live-prefix refresh of ``max_flow``
-            used, before = phase[0], engine._cap_np[phase[0]]
-            engine._blocking_flow(*phase[1:])
-            engine._refresh(used[engine._cap_np[used] != before])
+            found.append(phase is not None)
+            return phase
+
+        engine._phase_csr = checked_phase
+        engine.max_flow(net.source, net.sink)
+        assert found[-1] is False and all(found[:-1])
 
 
 def test_phase_without_path_to_sink_is_none():
@@ -685,7 +688,7 @@ def _assert_live_prefix(engine):
     """Each node's gathered slots are its positive-residual slots in
     ascending slot order."""
     tails = engine._head_np[np.arange(engine._head_np.size) ^ 1]
-    live = np.flatnonzero(engine._cap_np > 0)
+    live = np.flatnonzero(engine.cap > 0)
     want = live[np.argsort(tails[live], kind="stable")]
     got = engine._adj_np[engine._prefix(np.arange(engine.n))]
     assert got.tolist() == want.tolist()
