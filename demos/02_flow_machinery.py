@@ -10,9 +10,10 @@ from targetflow import (INF, Arc, BoundedFlowNetwork, build_associate_graph,
 # Plain maximum flow: two disjoint routes from 0 to 3.  The flow comes as
 # an int64 column, with the source side of a minimum cut: the nodes the
 # engine's last level sweep still reached.  Both arcs out of the source
-# are full here, so that side is the source alone.  verify_optimality
-# checks the flow and the cut by weak duality: the cut's capacity equals
-# the flow value.
+# are full here, so that side is the source alone.  max_flow_dinic has
+# already checked the flow and the cut by weak duality with
+# verify_optimality, which any caller can run again: the cut's capacity
+# equals the flow value.
 net = BoundedFlowNetwork(
     4, (Arc(0, 1), Arc(0, 2), Arc(1, 3), Arc(2, 3)), source=0, sink=3)
 assignment = max_flow_dinic(net)

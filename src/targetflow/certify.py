@@ -92,7 +92,7 @@ def expm(m: np.ndarray) -> np.ndarray:
         raise ValueError("matrix entries must be finite")
     s = 0
     with np.errstate(over="ignore"):
-        nrm = np.abs(m).sum(axis=1).max() if m.size else 0.0
+        nrm = np.abs(m).sum(axis=1).max(initial=0)
     if not np.isfinite(nrm):
         raise FloatingPointError("matrix exponential overflows")
     while nrm >= 0.5:
@@ -103,7 +103,7 @@ def expm(m: np.ndarray) -> np.ndarray:
     for k in range(1, 64):
         term = term @ ms / k
         acc = acc + term
-        if np.abs(term).max() <= 1e-18 * np.abs(acc).max():
+        if np.abs(term).max(initial=0) <= 1e-18 * np.abs(acc).max(initial=0):
             break
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(s):

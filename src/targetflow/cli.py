@@ -48,13 +48,13 @@ def _ids(labels, found, what):
 
 
 def _load(args):
-    """The graph, its label -> id map, the sorted target ids and the inverse."""
+    """The graph, label -> id map, sorted target ids and the labels by id."""
     g, labels = _read(args.graph, "graph", parse_edge_list)
     found = _read(args.targets, "targets", lambda fh: _read_labels(fh, 1))
     members = sorted(set(_ids(labels, found.tolist(), "target")))
     if not members:
         raise _InputError(EXIT_INVALID, "target set is empty")
-    return g, labels, members, {i: lab for lab, i in labels.items()}
+    return g, labels, members, list(labels)
 
 
 def _generate(kind, args):

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import (FlowAssignment, max_flow_dinic, min_flow_with_bounds,
-                   verify_optimality)
+from .flow import FlowAssignment, max_flow_dinic, min_flow_with_bounds
 from .graph import DiGraph, _repeats
 from .network import BoundedFlowNetwork
 
@@ -71,7 +70,7 @@ class TargetFlowNetwork:
     Over ``T`` target sets, set ``c`` is laid out as above on nodes
     ``[2nc, 2n(c + 1))``, after the arcs of set ``c - 1``, sharing the
     collector ``2nT`` and injector ``2nT + 1``; ``targets`` and
-    ``edge_arcs`` are set 0's.
+    ``edge_arcs`` are set 0's.  The bounds are constant views of 0 and 1.
     """
 
     net: BoundedFlowNetwork
@@ -127,8 +126,8 @@ def build_target_network(g: DiGraph, targets, *more) -> TargetFlowNetwork:
     tail, head = np.concatenate(tails + heads).reshape(2, -1)
     net = BoundedFlowNetwork.from_columns(
         collector + 2, injector, collector, tail, head,
-        np.zeros(tail.size, dtype=np.int64),
-        np.ones(tail.size, dtype=np.int64))
+        np.broadcast_to(np.int64(0), tail.shape),
+        np.broadcast_to(np.int64(1), tail.shape))
     k = len(sets[0])
     return TargetFlowNetwork(net, n, sets[0], range(n + k, n + k + m))
 
@@ -195,25 +194,27 @@ def decompose_cover(cover_edges, targets) -> PathCover:
     return PathCover(tuple(paths), tuple(cycles))
 
 
+def _read_cover(tnet, assignment: FlowAssignment, links: int) -> Solution:
+    """Solution of the unit-flow edges: one path per target less ``links``."""
+    members = tnet.targets
+    cover = decompose_cover(extract_cover_edges(tnet, assignment), members)
+    if len(cover.paths) != len(members) - links:
+        raise AssertionError(f"path count {len(cover.paths)} inconsistent "
+                             f"with {links} links over {len(members)} targets")
+    return Solution(cover, max(len(cover.paths), 1), links)
+
+
 def solve(g: DiGraph, targets) -> Solution:
     """Minimum target path cover of ``targets``: the fewest control sources
     when each drives one path from its head (an upper bound on the inputs
     the rank test needs), with the covering paths and cycles.
 
-    Builds the node-split network, pushes a maximum flow through it,
-    checks the flow against its minimum cut, and decomposes the unit-flow
-    edges.  The number of paths always equals ``|targets| - flow value``.
+    Builds the node-split network, pushes a maximum flow through it and
+    decomposes the unit-flow edges into ``|targets| - flow value`` paths.
     """
     tnet = build_target_network(g, targets)
-    members = tnet.targets
     assignment = max_flow_dinic(tnet.net)
-    verify_optimality(tnet.net, assignment)
-    cover = decompose_cover(extract_cover_edges(tnet, assignment), members)
-    if len(cover.paths) != len(members) - assignment.value:
-        raise AssertionError(
-            f"path count {len(cover.paths)} inconsistent with flow "
-            f"{assignment.value} over {len(members)} targets")
-    return Solution(cover, max(len(cover.paths), 1), assignment.value)
+    return _read_cover(tnet, assignment, assignment.value)
 
 
 def build_circulation_network(g: DiGraph, targets) -> CirculationNetwork:
@@ -245,15 +246,8 @@ def solve_via_circulation(g: DiGraph, targets) -> Solution:
     match.
     """
     cnet = build_circulation_network(g, targets)
-    members = cnet.targets
     assignment = min_flow_with_bounds(cnet.net)
-    cover = decompose_cover(extract_cover_edges(cnet, assignment), members)
-    if len(cover.paths) != assignment.value:
-        raise AssertionError(
-            f"path count {len(cover.paths)} differs from minimum flow "
-            f"{assignment.value}")
-    return Solution(cover, max(len(cover.paths), 1),
-                    len(members) - len(cover.paths))
+    return _read_cover(cnet, assignment, len(cnet.targets) - assignment.value)
 
 
 def allocate_drivers(cover: PathCover) -> DriverAllocation:

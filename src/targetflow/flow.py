@@ -8,8 +8,8 @@ too.
 One residual engine runs every solver: maximum flow, the saturation of the
 associate graph behind feasible circulations, and the minimum flow, which
 saturates and then cancels on the same engine.  A maximum flow comes with
-the minimum cut its last level sweep found, which :func:`verify_optimality`
-checks by weak duality alone.
+the minimum cut its last level sweep found, which certifies it by weak
+duality (:func:`verify_optimality`) before it is returned.
 
 Determinism: arcs are traversed in ascending insertion order everywhere
 (BFS level construction and blocking-flow DFS), so a given network always
@@ -95,7 +95,7 @@ class _ResidualDinic:
         self._indptr_np = np.concatenate(([0], counts.sum(1).cumsum()))
         self.cap = np.zeros(2 * m, dtype=np.int64)
         self.cap[0::2] = cap
-        self._fwd = self.cap[0::2].copy()
+        self._fwd = np.asarray(cap)  # read, never written
 
     def pushed(self) -> np.ndarray:
         """Net flow each arc gained, in arc order, as a read-only column."""
@@ -215,8 +215,8 @@ def max_flow_dinic(net: BoundedFlowNetwork) -> FlowAssignment:
     of a minimum cut: what the last level sweep reached.
 
     Raises:
-        ValueError: a lower bound is nonzero, or a path of unbounded arcs
-            joins source to sink, so that the flow reaches the sentinel.
+        ValueError: a lower bound is nonzero, a path of unbounded arcs joins
+            source to sink, or the flow's cut fails :func:`verify_optimality`.
     """
     if np.count_nonzero(net.lower):
         raise ValueError("max_flow_dinic requires all lower bounds zero")
@@ -224,7 +224,10 @@ def max_flow_dinic(net: BoundedFlowNetwork) -> FlowAssignment:
     value = engine.max_flow(net.source, net.sink)
     if net.unbounded.size and value >= net.cap[net.unbounded[0]]:
         raise ValueError("a path of unbounded arcs joins source to sink")
-    return FlowAssignment(engine.pushed(), value, engine.cut)
+    assignment = FlowAssignment(engine.pushed(), value, engine.cut)
+    del engine  # before the check, which needs none of it
+    verify_optimality(net, assignment)
+    return assignment
 
 
 def build_associate_graph(net: BoundedFlowNetwork) -> BoundedFlowNetwork:

@@ -32,6 +32,11 @@ def _repeats(keys):
     return rep
 
 
+def _pair_keys(tail, head, n):
+    """``tail * n + head``, in Python integers where int64 would wrap."""
+    return (tail.astype(object) if n * n > 1 << 63 else tail) * n + head
+
+
 class DiGraph:
     """Immutable directed graph over nodes ``0 .. n-1``.
 
@@ -63,7 +68,7 @@ class DiGraph:
             i = bad.argmax()
             raise ValueError(
                 f"edge ({tail[i]}, {head[i]}) out of range for n={n}")
-        bad = _repeats(tail * n + head)
+        bad = _repeats(_pair_keys(tail, head, n))
         if bad.any():
             i = bad.argmax()
             raise ValueError(f"duplicate edge ({tail[i]}, {head[i]})")
@@ -148,12 +153,12 @@ def parse_edge_list(text) -> tuple[DiGraph, dict[int, int]]:
     """Parse "tail head" integer pairs, one per line.
 
     Lines starting with ``#`` and blank lines are skipped.  Labels are
-    compacted to dense 0-based ids in first-appearance order; duplicate
-    edges collapse to one.  Returns the graph and the label -> internal-id
-    map.  ``text`` is a string, a text file (read whole, then split into
-    the lines iterating it would give) or an iterable of lines.  Text of
-    digits and whitespace only is read by numpy's text reader; anything
-    else, comments and errors included, goes through the line loop.
+    compacted to dense 0-based ids in first-appearance order; duplicate edges
+    collapse to one.  Returns the graph and the label -> internal-id map, in id
+    order.  ``text`` is a string, a text file (read whole, then split into the
+    lines iterating it would give) or an iterable of lines.  Text of digits and
+    whitespace only is read by numpy's text reader; anything else, comments and
+    errors included, goes through the line loop.
 
     Raises:
         EdgeListError: wrong token count, non-integer or negative token.
@@ -173,7 +178,7 @@ def parse_edge_list(text) -> tuple[DiGraph, dict[int, int]]:
     ids[order] = rank[np.cumsum(fresh) - 1]
     n = first.size
     tail, head = ids[0::2], ids[1::2]
-    keep = ~_repeats(tail * n + head)
+    keep = ~_repeats(_pair_keys(tail, head, n))
     g = DiGraph(n, np.column_stack((tail[keep], head[keep])))
     return g, dict(zip(labels[first[by_first]].tolist(), range(n)))
 
@@ -224,7 +229,7 @@ def _first_pairs(n, target, draw, budget=None):
         vals = np.concatenate((vals, draw(tries)))
         pairs = vals[:vals.size // 2 * 2].reshape(-1, 2)[:budget]
         t, h = pairs.T
-        keep = np.flatnonzero((t != h) & ~_repeats(t * n + h))
+        keep = np.flatnonzero((t != h) & ~_repeats(_pair_keys(t, h, n)))
         if keep.size >= target or len(pairs) == budget:
             return pairs[keep[:target]]
         tries = len(pairs)

@@ -251,6 +251,10 @@ class TestExpm:
     def test_zero_matrix(self):
         assert np.allclose(expm(np.zeros((3, 3))), np.eye(3))
 
+    def test_empty_matrix_is_empty_identity(self):
+        got = expm(np.zeros((0, 0)))
+        assert got.shape == (0, 0) and got.dtype == float
+
     def test_known_scalar(self):
         assert np.isclose(expm(np.array([[2.0]]))[0, 0], np.e ** 2)
 

@@ -7,13 +7,13 @@ import pytest
 import targetflow.cover
 import targetflow.flow
 import targetflow.matching
-from targetflow import (INF, Arc, BoundedFlowNetwork, DiGraph,
-                        FlowAssignment, PathCover, allocate_drivers,
-                        build_associate_graph, build_circulation_network,
-                        build_target_network, decompose_cover, driver_count,
-                        extract_cover_edges, generate_er, max_flow_dinic,
+from targetflow import (INF, Arc, BoundedFlowNetwork, DiGraph, PathCover,
+                        allocate_drivers, build_associate_graph,
+                        build_circulation_network, build_target_network,
+                        decompose_cover, driver_count, extract_cover_edges,
+                        feasible_circulation, generate_er, max_flow_dinic,
                         max_matching, min_flow_with_bounds, solve,
-                        solve_via_circulation, validate_assignment,
+                        solve_via_circulation, sweep, validate_assignment,
                         verify_cover, verify_optimality)
 
 from conftest import random_graph, random_targets
@@ -343,19 +343,24 @@ class TestSolve:
 
     def test_answers_only_a_flow_its_cut_certifies(self, canonical,
                                                    monkeypatch):
-        # a zero flow handed over with the true minimum cut is consistent
-        # with a cover of one path per target, but the cut's capacity
-        # exceeds its value, so neither route may answer
-        def zero_flow(net):
-            fa = max_flow_dinic(net)
-            return FlowAssignment(np.zeros_like(fa.flow), 0, fa.cut)
-        monkeypatch.setattr(targetflow.cover, "max_flow_dinic", zero_flow)
-        monkeypatch.setattr(targetflow.matching, "max_flow_dinic", zero_flow)
+        # an engine that hands over a zero flow with the true value and
+        # minimum cut: the flow is valid, but the cut's capacity exceeds
+        # the flow across it, so no entry point may answer with it
+        monkeypatch.setattr(
+            targetflow.flow._ResidualDinic, "pushed",
+            lambda engine: np.zeros(engine.cap.size // 2, dtype=np.int64))
         g, targets = canonical
-        with pytest.raises(ValueError, match="cut capacity"):
-            solve(g, targets)
-        with pytest.raises(ValueError, match="cut capacity"):
-            max_matching(g)
+        answers = [
+            lambda: max_flow_dinic(build_target_network(g, targets).net),
+            lambda: solve(g, targets),
+            lambda: max_matching(g),
+            lambda: sweep(g, [0.5], 2, 1),
+            lambda: feasible_circulation(
+                build_circulation_network(g, targets).net),
+        ]
+        for answer in answers:
+            with pytest.raises(ValueError, match="cut capacity"):
+                answer()
 
     def test_full_target_set_matches_matching_count(self):
         rng = random.Random(8)

@@ -47,6 +47,14 @@ class TestDiGraph:
         with pytest.raises(ValueError, match="must be integers"):
             DiGraph(2, edges)
 
+    def test_pairs_past_int64_keys(self):
+        # n * n exceeds int64, so tail * n + head would wrap around
+        n, far = 2 ** 33, 2 ** 31
+        assert DiGraph(n, [(0, 5), (far, 5)]).edges == ((0, 5), (far, 5))
+        with pytest.raises(ValueError, match="duplicate edge"):
+            DiGraph(n, [(2 ** 32, 5), (0, 1), (2 ** 32, 5)])
+        assert list(generate_er(n, 2e-7, 5).edges) == er_edges(n, 2e-7, 5)
+
     def test_accepts_numpy_integers_and_no_edges(self):
         g = DiGraph(3, [(np.int64(0), np.uint8(1)), (np.int32(2), 0)])
         assert g.edges == ((0, 1), (2, 0))
@@ -152,6 +160,7 @@ def _outcome(parse, text):
 
 def _library(text):
     g, labels = parse_edge_list(text)
+    assert list(labels) == sorted(labels, key=labels.get)  # in id order
     return g.n, g.edges, labels
 
 
