@@ -210,7 +210,10 @@ def design_input(sys: LtiSystem, x0, t_f: float,
             rank below k or condition number beyond CONDITION_LIMIT.
         FloatingPointError: that map leaves the float64 range.
     """
-    phi, g0, g1 = _foh(sys, t_f, steps)
+    return _design_input(sys, x0, steps, *_foh(sys, t_f, steps))
+
+
+def _design_input(sys, x0, steps, phi, g0, g1):
     k, m = sys.C.shape[0], sys.B.shape[1]
     # x(t_f) = phi^steps x0 + sum_j M_j u_j, where M_steps = g1, M_0 =
     # phi^(steps-1) g0 and M_j = phi^(steps-1-j) (g0 + phi g1) otherwise: one
@@ -252,7 +255,10 @@ def simulate(sys: LtiSystem, u: np.ndarray, x0, t_f: float,
     Raises:
         FloatingPointError: the state leaves the representable range.
     """
-    phi, g0, g1 = _foh(sys, t_f, steps)
+    return _simulate(sys, u, x0, t_f, steps, *_foh(sys, t_f, steps))
+
+
+def _simulate(sys, u, x0, t_f, steps, phi, g0, g1):
     u = np.asarray(u, dtype=float)
     if u.ndim == 1:  # samples of a single input
         u = u[:, np.newaxis]

@@ -1,7 +1,9 @@
 """Command-line surface: gen, solve, verify, sweep, matching.
 
 Exit codes: 0 ok, 1 file/parse error, 2 invalid input semantics,
-3 numeric failure.
+3 numeric failure.  ``solve`` writes its report by hand, byte for byte
+what ``json.dumps(report, indent=2)`` writes; ``verify`` and ``sweep``
+use ``json``.
 """
 
 import argparse
@@ -76,22 +78,24 @@ def _cmd_gen(args):
     return EXIT_OK
 
 
-def _solution_report(sol, alloc, inv):
-    return {
-        "min_drivers": sol.min_drivers,
-        "paths": [[inv[v] for v in p] for p in sol.cover.paths],
-        "cycles": [[inv[v] for v in c] for c in sol.cover.cycles],
-        "attachments": [[d, inv[v]] for d, v in alloc.attachments],
-        "flow_value": sol.flow_value,
-    }
+def _rows(rows):
+    """Non-empty rows of integers as ``json.dumps(indent=2)`` lays them out
+    one level in."""
+    body = ",\n".join(["    [\n      " + ",\n      ".join(map(str, row))
+                       + "\n    ]" for row in rows])
+    return f"[\n{body}\n  ]" if body else "[]"
 
 
 def _cmd_solve(args):
     g, _, members, inv = _load(args)
     sol = solve(g, members)
-    alloc = allocate_drivers(sol.cover)
-    _emit(json.dumps(_solution_report(sol, alloc, inv), indent=2) + "\n",
-          args.out)
+    label = inv.__getitem__
+    pairs = ((d, label(v)) for d, v in allocate_drivers(sol.cover).attachments)
+    _emit(f'{{\n  "min_drivers": {sol.min_drivers},\n'
+          f'  "paths": {_rows(map(label, p) for p in sol.cover.paths)},\n'
+          f'  "cycles": {_rows(map(label, c) for c in sol.cover.cycles)},\n'
+          f'  "attachments": {_rows(pairs)},\n'
+          f'  "flow_value": {sol.flow_value}\n}}\n', args.out)
     return EXIT_OK
 
 
@@ -127,9 +131,11 @@ def _cmd_verify(args):
         rng = np.random.default_rng(args.seed)
         x0 = rng.normal(size=g.n)
         x0 /= np.linalg.norm(x0)
-        try:
-            u = certify.design_input(sysm, x0, args.tf)
-            states, y_f = certify.simulate(sysm, u, x0, args.tf)
+        steps = certify.DESIGN_STEPS
+        try:  # design_input and simulate, on one step triple
+            step = certify._foh(sysm, args.tf, steps)
+            u = certify._design_input(sysm, x0, steps, *step)
+            states, y_f = certify._simulate(sysm, u, x0, args.tf, steps, *step)
         except (certify.NotNumericallyControllable, FloatingPointError) as exc:
             raise _InputError(EXIT_NUMERIC, str(exc)) from exc
         report["y_norm"] = float(np.linalg.norm(y_f))

@@ -9,7 +9,9 @@ One residual engine runs every solver: maximum flow, the saturation of the
 associate graph behind feasible circulations, and the minimum flow, which
 saturates and then cancels on the same engine.  A maximum flow comes with
 the minimum cut its last level sweep found, which certifies it by weak
-duality (:func:`verify_optimality`) before it is returned.
+duality (:func:`verify_optimality`) before it is returned.  A depth-3
+phase of unit arcs, as the first on a node-split target network, is a
+bipartite matching: the engine finds the DFS's one by deferred acceptance.
 
 Determinism: arcs are traversed in ascending insertion order everywhere
 (BFS level construction and blocking-flow DFS), so a given network always
@@ -76,6 +78,12 @@ class _ResidualDinic:
     only slots on shortest source-to-sink paths.  The others lead to nodes
     that cannot reach the sink in the phase, which a DFS would enter and
     leave without touching a residual: the augmenting paths are the same.
+
+    On a phase of depth 3, unit residuals and one slot out of each
+    second-layer node, the DFS gives each source slot, in slot order, the
+    first free second-layer node its first-layer node has, by slot.  All
+    rank the source slots alike, so that is the unique stable matching
+    (Gale & Shapley 1962), which deferred acceptance finds.
     """
 
     def __init__(self, n: int, tail, head, cap):
@@ -89,8 +97,13 @@ class _ResidualDinic:
         tails *= 2  # the sort key: by node, live slots first, by slot
         tails[0::2] += np.less_equal(cap, 0)
         tails[1::2] += 1
-        self._adj_np = np.argsort(tails, kind="stable")
         counts = np.bincount(tails, minlength=2 * n).reshape(n, 2)
+        # the stable order, by a plain sort of key * 2m + slot: below 2^63
+        # while n and m are below 2^30, more than any network in memory
+        tails *= 2 * m
+        tails += np.arange(2 * m)
+        tails.sort()
+        self._adj_np = np.remainder(tails, max(2 * m, 1), out=tails)
         self._live = counts[:, 0].copy()
         self._indptr_np = np.concatenate(([0], counts.sum(1).cumsum()))
         self.cap = np.zeros(2 * m, dtype=np.int64)
@@ -107,38 +120,54 @@ class _ResidualDinic:
         """CSR positions of the live slots leaving ``nodes``, node by node."""
         counts = self._live[nodes]
         ends = counts.cumsum()
-        return np.arange(ends[-1]) + (self._indptr_np[nodes] - ends
-                                      + counts).repeat(counts)
+        return np.arange(ends[-1] if ends.size else 0) + (
+            self._indptr_np[nodes] - ends + counts).repeat(counts)
 
-    def _refresh(self, moved):
-        """Rewrite the live prefixes at both ends of the ``moved`` slots."""
+    def _refresh(self, moved, s=-1, t=-1):
+        """Rewrite the live prefixes at both ends of the ``moved`` slots.
+        Those of a flow's source ``s`` and sink ``t``, the longest, are not
+        regathered by key: each is filtered and merged with what it gained."""
         changed = np.concatenate((moved, moved ^ 1))
-        nodes = _distinct(self._head_np[changed])
-        slots = np.concatenate((self._adj_np[self._prefix(nodes)], changed))
+        tails = self._head_np[changed ^ 1]
+        rest = (tails != s) & (tails != t)
+        nodes = _distinct(tails[rest])
+        slots = np.concatenate((self._adj_np[self._prefix(nodes)],
+                                changed[rest]))
         span = self._head_np.size
         key = self._head_np[slots ^ 1] * span + slots
         tails, slots = np.divmod(_distinct(key[self.cap[slots] > 0]), span)
         self._live[nodes] = np.bincount(tails, minlength=self.n)[nodes]
         self._adj_np[self._prefix(nodes)] = slots
+        for u in (s, t) if s >= 0 else ():
+            start = self._indptr_np[u]
+            live = self._adj_np[start:start + self._live[u]]
+            gained = moved[self._head_np[moved] == u] ^ 1
+            if gained.size:
+                live = _distinct(np.concatenate((live, gained)))
+            live = live[self.cap[live] > 0]
+            self._live[u] = live.size
+            self._adj_np[start:start + live.size] = live
 
     def max_flow(self, s: int, t: int) -> int:
         total = 0
-        while (phase := self._phase_csr(s, t)) is not None:
-            slots = phase[0]
-            total += self._blocking_flow(*phase[1:])
-            pushed = self.cap[slots] - phase[1]
-            phase = None  # free the phase lists before the refresh
+        while (layers := self._phase_csr(s, t)) is not None:
+            slots = np.concatenate(layers)
+            res = self._serial_dictatorship(layers)
+            if res is None:
+                res = self._blocking_flow(*self._csr(slots, t))
+            pushed = self.cap[slots] - res
+            total += sum(pushed[slots.size - layers[-1].size:].tolist())
+            layers = res = None  # free the phase before the refresh
             self.cap[slots] -= pushed
             self.cap[slots ^ 1] += pushed
-            self._refresh(slots[pushed != 0])
+            self._refresh(slots[pushed != 0], s, t)
         return total
 
     def _phase_csr(self, s: int, t: int):
-        """The phase's slots as an array and a CSR ``(res, nxt, indptr)``
-        of them on the phase's own node ids, source last and sink next, or
-        ``None`` when the sink is out of reach: each node's slots in slot
-        order, with their residuals and their heads by that id.
-        A sweep that misses the sink keeps the nodes it reached as ``cut``."""
+        """The phase's slots by layer, from the sink's back to the
+        source's, each by tail and then slot, or ``None`` when the sink is
+        out of reach.  A sweep that misses the sink keeps the nodes it
+        reached as ``cut``."""
         unseen = np.ones(self.n, dtype=bool)
         unseen[s] = False
         frontier = np.array([s], dtype=np.int64)
@@ -161,31 +190,67 @@ class _ResidualDinic:
             pos = pos[alive[self._head_np[pos]]]
             alive[self._head_np[pos ^ 1]] = True
             kept.append(pos)
-        flat = np.concatenate(kept)
-        tails = self._head_np[flat ^ 1]
+        return kept
+
+    def _serial_dictatorship(self, layers):
+        """The phase's residuals after its blocking flow, by deferred
+        acceptance, or ``None`` unless it is a depth-3 unit phase."""
+        if len(layers) != 3:
+            return None
+        last, mid, first = layers
+        head, free = self._head_np, first.size
+        if ((np.diff(head[last ^ 1]) == 0).any()
+                or (self.cap[np.concatenate(layers)] != 1).any()):
+            return None
+        top, tails = head[first], head[mid ^ 1]
+        at = np.searchsorted(tails, top)  # each proposer's slot in ``mid``
+        stop = np.searchsorted(tails, top, side="right")
+        holder = np.full(self.n, free)  # the rank holding each node
+        active = np.arange(free)  # the proposers' ranks, by source slot
+        rounds = free // 64 + 16  # longer chains of displacements: the DFS
+        while active.size and (rounds := rounds - 1) >= 0:
+            v = head[mid[at[active]]]
+            held = holder[v]
+            np.minimum.at(holder, v, active)
+            won = holder[v] == active
+            # the rejected, and the holders the winners displaced, move on
+            active = np.concatenate((active[~won], held[won & (held < free)]))
+            at[active] += 1
+            active = active[at[active] < stop[active]]
+        if active.size:
+            return None
+        rank = holder[head[last ^ 1]]
+        won = rank[rank < free]  # a matched slot's residual falls to 0
+        return np.concatenate((rank == free,
+                               1 - np.bincount(at[won], minlength=mid.size),
+                               1 - np.bincount(won, minlength=free)))
+
+    def _csr(self, slots, t):
+        """The phase ``slots`` as a CSR ``(res, nxt, indptr)`` on the
+        phase's own node ids, source last and sink next: each node's slots
+        in slot order, with their residuals and their heads by that id."""
+        tails = self._head_np[slots ^ 1]
         indptr = np.flatnonzero(np.diff(tails, prepend=-1, append=-1))
         local = np.empty(self.n, dtype=np.int64)
         local[tails[indptr[:-1]]] = np.arange(indptr.size - 1)
         local[t] = indptr.size - 1
-        return (flat, self.cap[flat].tolist(),
-                local[self._head_np[flat]].tolist(), indptr.tolist())
+        return (self.cap[slots].tolist(),
+                local[self._head_np[slots]].tolist(), indptr.tolist())
 
-    def _blocking_flow(self, res, nxt, indptr) -> int:
-        """Augment the residuals ``res`` along the phase CSR until no path
-        is left.  A node whose slots are used up keeps its cursor at their
-        end, so a later visit backs out of it at once."""
+    def _blocking_flow(self, res, nxt, indptr):
+        """The residuals ``res`` after augmenting them along the phase CSR
+        until no path is left.  A node whose slots are used up keeps its
+        cursor at their end, so a later visit backs out of it at once."""
         t = len(indptr) - 1
         u = s = t - 1
         it = indptr[:-1]
         path: list[int] = []  # positions in ``res``
-        total = 0
         while True:
             if u == t:
                 caps = [res[k] for k in path]
                 aug = min(caps)
                 for k in path:
                     res[k] -= aug
-                total += aug
                 # resume from the tail of the first saturated slot
                 del path[caps.index(aug):]
                 u = nxt[path[-1]] if path else s
@@ -204,7 +269,7 @@ class _ResidualDinic:
                 path.pop()
                 u = nxt[path[-1]] if path else s
                 it[u] += 1
-        return total
+        return res
 
 
 def max_flow_dinic(net: BoundedFlowNetwork) -> FlowAssignment:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import targetflow.certify
 import targetflow.cli
 from targetflow import (PathCover, format_edge_list, generate_er,
                         parse_edge_list, solve, verify_cover)
@@ -91,6 +93,54 @@ class TestSolveCommand:
             tuple(tuple(labels[v] for v in p) for p in doc["paths"]),
             tuple(tuple(labels[v] for v in c) for c in doc["cycles"]))
         assert verify_cover(g, [labels[v] for v in (2, 3, 7, 9)], cover)
+
+
+def _solve_text(capsys, tmp_path, edges, targets):
+    gfile, tfile = tmp_path / "g.txt", tmp_path / "t.txt"
+    gfile.write_text("".join(f"{a} {b}\n" for a, b in edges))
+    tfile.write_text("".join(f"{v}\n" for v in targets))
+    code, out = run(capsys, "solve", str(gfile), str(tfile))
+    assert code == 0
+    return out
+
+
+BIG = 123_456_789_012_345_678  # 18 digits
+
+
+class TestSolveReportBytes:
+    """``solve`` writes its report by hand: the bytes must be what
+    ``json.dumps(indent=2)`` writes for the same report."""
+
+    @pytest.mark.parametrize("edges, targets, empty", [
+        ([(1, 2), (2, 1), (3, 3)], [1, 2, 3], "paths"),
+        ([(1, 2), (2, 3)], [1, 2, 3], "cycles"),
+        ([(1, 2), (3, 4)], [1, 3], "cycles"),
+        ([(5, 5), (6, 6)], [5, 6], "paths"),
+        ([(BIG, BIG + 1), (BIG + 1, BIG), (BIG + 2, BIG)], [BIG + 2, BIG],
+         None),
+    ])
+    def test_edge_cases(self, capsys, tmp_path, edges, targets, empty):
+        out = _solve_text(capsys, tmp_path, edges, targets)
+        doc = json.loads(out)
+        assert out == json.dumps(doc, indent=2) + "\n"
+        if empty:
+            assert doc[empty] == []
+        if empty == "cycles" and len(targets) == 2:  # singleton paths
+            assert doc["paths"] == [[1], [3]]
+        if targets[0] == BIG + 2:
+            assert doc["paths"] == [[BIG + 2, BIG]]
+
+    def test_random_covers(self, capsys, tmp_path):
+        rng = random.Random(17)
+        for _ in range(60):
+            n = rng.randint(1, 25)
+            label = rng.choice([lambda v: v, lambda v: BIG + 7919 * v])
+            edges = {(label(rng.randrange(n)), label(rng.randrange(n)))
+                     for _ in range(rng.randint(1, 3 * n))}
+            nodes = sorted({v for e in edges for v in e})
+            targets = rng.sample(nodes, rng.randint(1, len(nodes)))
+            out = _solve_text(capsys, tmp_path, sorted(edges), targets)
+            assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 class TestInputFiles:
@@ -251,6 +301,16 @@ class TestVerifyCommand:
         assert doc["passed"] is True
         header = traj.read_text().splitlines()[0]
         assert header == "t,y_1,y_2,y_3,y_4"
+
+    def test_one_step_exponential_per_verify(self, capsys, monkeypatch):
+        # the input design and its simulated check share one FOH step
+        calls = []
+        real = targetflow.certify._foh
+        monkeypatch.setattr(targetflow.certify, "_foh",
+                            lambda *args: calls.append(args) or real(*args))
+        code, out = run(capsys, "verify", GRAPH, TARGETS, "--seed", "7")
+        assert code == 0 and json.loads(out)["passed"] is True
+        assert len(calls) == 1
 
     def test_isolated_target_trivially_passes(self, capsys, tmp_path):
         gfile = tmp_path / "g.txt"

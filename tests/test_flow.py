@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 import targetflow.flow
-from targetflow import (INF, Arc, BoundedFlowNetwork, InfeasibleFlowError,
-                        build_associate_graph, build_circulation_network,
-                        build_target_network, feasible_circulation,
-                        generate_er, generate_sf, max_flow_dinic,
-                        min_flow_with_bounds, validate_assignment,
-                        verify_optimality)
+from targetflow import (INF, Arc, BoundedFlowNetwork, DiGraph,
+                        InfeasibleFlowError, build_associate_graph,
+                        build_circulation_network, build_target_network,
+                        feasible_circulation, generate_er, generate_sf,
+                        max_flow_dinic, min_flow_with_bounds,
+                        validate_assignment, verify_optimality)
 from targetflow.flow import FlowAssignment, _ResidualDinic
 
 from conftest import random_graph, random_targets
@@ -619,25 +619,38 @@ def _deep_thin_instance(length, size, seed):
 
 
 def _phase_slots(engine, s, t):
-    """The next phase of ``engine`` as the (tail, slot) pairs that its DFS
-    scans, node by node in ascending node order, and the phase itself;
-    ``None`` for both when the sink is out of reach.  Checks that the
-    phase's own node ids name distinct network nodes, that each node's
-    slots leave it, that ``res`` holds each slot's residual, that ``nxt``
-    names each slot's head, and that the source and the sink come last."""
-    phase = _ResidualDinic._phase_csr(engine, s, t)
-    if phase is None:
+    """The next phase of ``engine`` as the (tail, slot) pairs it hands to
+    its blocking flow, node by node in ascending node order, and the phase
+    itself; ``None`` for both when the sink is out of reach.  Checks that
+    the phase is layers from the sink's back to the source's, each by tail
+    in ascending node order and then by slot, whose slots lead from the
+    source into the sink layer by layer.  Checks that the CSR built on the
+    phase gives distinct network nodes distinct ids, that each node's slots
+    leave it, that ``res`` holds each slot's residual, that ``nxt`` names
+    each slot's head, and that the source and the sink come last."""
+    layers = _ResidualDinic._phase_csr(engine, s, t)
+    if layers is None:
         return None, None
-    flat, res, nxt, indptr = phase[0].tolist(), *phase[1:]
-    assert res == engine.cap[phase[0]].tolist()
     heads = engine._head_np.tolist()
     tails = [heads[q ^ 1] for q in range(len(heads))]
+    for layer in layers:
+        layer = layer.tolist()
+        assert layer == sorted(layer, key=lambda q: (tails[q], q))
+    steps = [{(tails[q], heads[q]) for q in layer} for layer in layers]
+    assert {v for _, v in steps[0]} == {t}
+    assert {u for u, _ in steps[-1]} == {s}
+    for near, far in zip(steps, steps[1:]):
+        assert {v for _, v in far} == {u for u, _ in near}
+    flat = np.concatenate(layers)
+    res, nxt, indptr = _ResidualDinic._csr(engine, flat, t)
+    flat = flat.tolist()
+    assert res == engine.cap[flat].tolist()
     rows = [flat[a:b] for a, b in zip(indptr, indptr[1:])]
     nodes = [tails[row[0]] for row in rows] + [t]
     assert all(tails[q] == u for u, row in zip(nodes, rows) for q in row)
     assert [nodes[v] for v in nxt] == [heads[q] for q in flat]
     assert len(set(nodes)) == len(nodes) and nodes[-2] == s
-    return [(u, q) for u, row in sorted(zip(nodes, rows)) for q in row], phase
+    return [(u, q) for u, row in sorted(zip(nodes, rows)) for q in row], layers
 
 
 def _slot_case(name):
@@ -651,28 +664,46 @@ def _slot_case(name):
 # small random networks, single networks of 2500 to 3000 arcs, and a
 # phase of about 500 layers.  Every phase of ``max_flow`` is checked, the
 # first and each one after a blocking flow and its write-back, against the
-# residual it starts from.
+# residual it starts from, and so are the slots that the deferred
+# acceptance of a depth-3 unit phase or the DFS is given.
 @pytest.mark.parametrize("name", ["unit", "unit_midsize", "general",
                                   "general_midsize", "dead_end", "deep_thin"])
 def test_first_phase_scans_only_shortest_path_slots(name):
+    matched = []
     for net in _slot_case(name):
         engine = _ResidualDinic(net.node_count, net.tail, net.head, net.cap)
         heads = engine._head_np.tolist()
-        found = []
+        found, given = [], []
 
         def checked_phase(s, t):
             slots = [(heads[q ^ 1], heads[q], c)
                      for q, c in enumerate(engine.cap.tolist())]
-            scanned, phase = _phase_slots(engine, s, t)
+            scanned, layers = _phase_slots(engine, s, t)
             # the reference gives no slots exactly when the sink is out of
             # reach
             assert scanned == (shortest_path_slots(slots, s, t) or None)
-            found.append(phase is not None)
-            return phase
+            found.append(layers)
+            return layers
+
+        def checked_matching(layers):
+            assert layers is found[-1]
+            res = _ResidualDinic._serial_dictatorship(engine, layers)
+            given.append(np.concatenate(layers).tolist())
+            matched.append(res is not None)
+            return res
+
+        def checked_csr(slots, t):
+            assert slots.tolist() == given[-1]
+            return _ResidualDinic._csr(engine, slots, t)
 
         engine._phase_csr = checked_phase
+        engine._serial_dictatorship = checked_matching
+        engine._csr = checked_csr
         engine.max_flow(net.source, net.sink)
-        assert found[-1] is False and all(found[:-1])
+        assert found[-1] is None and None not in found[:-1]
+        assert len(given) == len(found) - 1
+    # of these, only the small unit networks have depth-3 unit phases
+    assert any(matched) == (name == "unit")
 
 
 def test_phase_without_path_to_sink_is_none():
@@ -731,6 +762,145 @@ def test_live_prefix_at_every_entry(name, monkeypatch):
             built = len(_Checked.entries)
             verify_optimality(net, fa)
             assert len(_Checked.entries) == built
+
+
+def _both_ways(solver, net):
+    """``solver(net)`` with the engine's deferred acceptance and with the
+    DFS alone, and the number of phases the deferred acceptance took."""
+    real = _ResidualDinic._serial_dictatorship
+    taken = []
+
+    def recording(self, layers):
+        res = real(self, layers)
+        taken.append(res is not None)
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_ResidualDinic, "_serial_dictatorship", recording)
+        matched = solver(net)
+        mp.setattr(_ResidualDinic, "_serial_dictatorship",
+                   lambda self, layers: None)
+        searched = solver(net)
+    return matched, searched, sum(taken)
+
+
+def _assert_same_flow(a, b):
+    assert a.value == b.value
+    assert a.flow.tolist() == b.flow.tolist()
+    assert (a.cut is None) == (b.cut is None)
+    if a.cut is not None:
+        assert a.cut.tolist() == b.cut.tolist()
+
+
+def _bipartite_graph(rng, n):
+    """A graph whose edges all join an even node and an odd one, so no
+    edge joins two even nodes."""
+    edges = {(a, b) for a, b in ((rng.randrange(n), rng.randrange(n))
+                                 for _ in range(3 * n)) if (a - b) % 2}
+    return DiGraph(n, sorted(edges))
+
+
+def _matching_cases(seed, count):
+    """Target networks of small graphs with self-loops, over unions of one
+    to three target sets, and of graphs whose targets, the even nodes,
+    share no edge, so that no first phase has depth 3."""
+    rng = random.Random(seed)
+    for i in range(count):
+        if i % 4 == 3:
+            n = rng.randint(2, 30)
+            yield build_target_network(_bipartite_graph(rng, n),
+                                       range(0, n, 2)).net
+            continue
+        g = random_graph(rng, 40, 120)
+        sets = [random_targets(rng, g.n) for _ in range(rng.randint(1, 3))]
+        yield build_target_network(g, *sets).net
+
+
+def test_deferred_acceptance_equals_the_dfs():
+    taken = 0
+    for net in _matching_cases(27, 400):
+        matched, searched, count = _both_ways(max_flow_dinic, net)
+        _assert_same_flow(matched, searched)
+        taken += count
+    assert taken > 200
+
+
+def _layered_unit_network(rng):
+    """Unit arcs from the source into a first layer, from there into a
+    second and from there into the sink, in shuffled order, with a doubled
+    arc into some first-layer nodes and out of some second-layer ones."""
+    first, second = rng.randint(1, 8), rng.randint(1, 8)
+    t = first + second + 1
+    arcs = [Arc(0, u) for u in range(1, first + 1)]
+    arcs += [Arc(v, t) for v in range(first + 1, t)]
+    arcs += [rng.choice(arcs) for _ in range(rng.randint(0, 2))]
+    arcs += [Arc(rng.randint(1, first), rng.randint(first + 1, t - 1))
+             for _ in range(rng.randint(1, 3 * first))]
+    rng.shuffle(arcs)
+    return BoundedFlowNetwork(t + 1, tuple(arcs), 0, t)
+
+
+def test_deferred_acceptance_on_doubled_arcs():
+    rng = random.Random(31)
+    taken = []
+    for _ in range(300):
+        matched, searched, count = _both_ways(max_flow_dinic,
+                                              _layered_unit_network(rng))
+        _assert_same_flow(matched, searched)
+        taken.append(count)
+    assert 0 < sum(taken) < len(taken)
+
+
+def test_deferred_acceptance_declines_general_capacities():
+    # the golden general networks meet depth-3 phases, none of unit arcs
+    for net in _random_networks(123, 300):
+        matched, searched, count = _both_ways(max_flow_dinic, net)
+        _assert_same_flow(matched, searched)
+        assert count == 0
+
+
+@pytest.mark.parametrize("cases", [_bounded_networks(55, 300),
+                                   _cover_circulations(77, 200)])
+def test_deferred_acceptance_in_min_flow(cases):
+    # the cancelling max_flow(t, s) runs on the engine that saturated
+    for net in cases:
+        try:
+            matched, searched, _ = _both_ways(min_flow_with_bounds, net)
+        except InfeasibleFlowError:
+            continue
+        _assert_same_flow(matched, searched)
+
+
+def test_long_displacement_chain_goes_to_the_dfs():
+    # node i's out-copy prefers the in-copy of size + i - 1 to that of
+    # size + i, so each round of deferred acceptance displaces one holder:
+    # the rounds run out and the DFS takes the phase
+    size = 3000
+    edges = [(1, size + 1)] + [(i, size + j) for i in range(2, size + 1)
+                               for j in (i - 1, i)]
+    g = DiGraph(2 * size + 1, edges)
+    net = build_target_network(g, range(g.n)).net
+    phases = []
+    real = _ResidualDinic._serial_dictatorship
+
+    def recording(self, layers):
+        res = real(self, layers)
+        phases.append((len(layers), res is None))
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_ResidualDinic, "_serial_dictatorship", recording)
+        fa = max_flow_dinic(net)
+    assert phases[0] == (3, True) and fa.value == size
+    _assert_same_flow(fa, _both_ways(max_flow_dinic, net)[1])
+
+
+def test_deferred_acceptance_runs_on_sf_all_target():
+    net = build_target_network(generate_sf(100_000, 3, 3, 1),
+                               range(100_000)).net
+    matched, searched, count = _both_ways(max_flow_dinic, net)
+    assert count == 1
+    _assert_same_flow(matched, searched)
 
 
 def _assert_cut_is_residual_reach(net, fa):
