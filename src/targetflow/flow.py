@@ -67,10 +67,12 @@ class _ResidualDinic:
     Arc ``i`` owns slot ``2i`` (forward) and slot ``2i ^ 1`` (reverse).  The
     ``_live[u]`` positive-residual slots leaving node ``u`` lead its CSR
     segment in slot order, so every tie-break resolves toward the lowest
-    arc index; ``_refresh`` rewrites them after each blocking flow or other
-    residual write.  Level sweeps gather live slots only; the DFS augments
-    a list of the phase slots' residuals, written back once per phase: a
-    level graph never holds a reverse slot.
+    arc index.  ``_refresh`` rewrites the prefixes of the heads of the
+    slots that lost residual: a node other than a flow's source that lost
+    a slot had as much flow in, so is such a head.  No phase slot enters
+    the source; ``max_flow`` filters its prefix.  Level sweeps gather live
+    slots only; the DFS augments a list of the phase slots' residuals,
+    written back once per phase: a level graph never holds a reverse slot.
 
     Each phase sweeps breadth-first from the source, keeping each layer's
     slots into the next layer; a pass back over those layers from the sink
@@ -123,30 +125,16 @@ class _ResidualDinic:
         return np.arange(ends[-1] if ends.size else 0) + (
             self._indptr_np[nodes] - ends + counts).repeat(counts)
 
-    def _refresh(self, moved, s=-1, t=-1):
-        """Rewrite the live prefixes at both ends of the ``moved`` slots.
-        Those of a flow's source ``s`` and sink ``t``, the longest, are not
-        regathered by key: each is filtered and merged with what it gained."""
-        changed = np.concatenate((moved, moved ^ 1))
-        tails = self._head_np[changed ^ 1]
-        rest = (tails != s) & (tails != t)
-        nodes = _distinct(tails[rest])
-        slots = np.concatenate((self._adj_np[self._prefix(nodes)],
-                                changed[rest]))
+    def _refresh(self, moved):
+        """Rewrite the live prefixes of the ``moved`` slots' heads from
+        their old prefixes and the partners they gained, kept where live."""
+        nodes = _distinct(self._head_np[moved])
+        slots = np.concatenate((self._adj_np[self._prefix(nodes)], moved ^ 1))
         span = self._head_np.size
         key = self._head_np[slots ^ 1] * span + slots
         tails, slots = np.divmod(_distinct(key[self.cap[slots] > 0]), span)
         self._live[nodes] = np.bincount(tails, minlength=self.n)[nodes]
         self._adj_np[self._prefix(nodes)] = slots
-        for u in (s, t) if s >= 0 else ():
-            start = self._indptr_np[u]
-            live = self._adj_np[start:start + self._live[u]]
-            gained = moved[self._head_np[moved] == u] ^ 1
-            if gained.size:
-                live = _distinct(np.concatenate((live, gained)))
-            live = live[self.cap[live] > 0]
-            self._live[u] = live.size
-            self._adj_np[start:start + live.size] = live
 
     def max_flow(self, s: int, t: int) -> int:
         total = 0
@@ -160,7 +148,11 @@ class _ResidualDinic:
             layers = res = None  # free the phase before the refresh
             self.cap[slots] -= pushed
             self.cap[slots ^ 1] += pushed
-            self._refresh(slots[pushed != 0], s, t)
+            self._refresh(slots[pushed != 0])
+            live = self._adj_np[self._indptr_np[s]:][:self._live[s]]
+            kept = live[self.cap[live] > 0]
+            self._live[s] = kept.size
+            live[:kept.size] = kept
         return total
 
     def _phase_csr(self, s: int, t: int):
@@ -367,7 +359,7 @@ def min_flow_with_bounds(net: BoundedFlowNetwork) -> FlowAssignment:
     # The added source and sink are saturated and drop out of the search.
     value0 = int(engine.cap[2 * r + 1])
     engine.cap[2 * r] = engine.cap[2 * r + 1] = 0
-    engine._refresh(np.array([2 * r]))
+    engine._refresh(np.array([2 * r, 2 * r + 1]))
     value = value0 - engine.max_flow(t, s)
     final = engine.pushed()[:work.tail.size] + work.lower
     final[r] = max(value, 0)
@@ -377,7 +369,8 @@ def min_flow_with_bounds(net: BoundedFlowNetwork) -> FlowAssignment:
 def validate_assignment(net: BoundedFlowNetwork,
                         assignment: FlowAssignment) -> None:
     """Raise ``ValueError`` unless bounds hold on every arc and every node
-    other than source/sink conserves flow exactly."""
+    other than source/sink conserves flow exactly; the imbalances sum to
+    zero, so the source then sends what the sink takes in."""
     if len(assignment.flow) != net.tail.size:
         raise ValueError("flow vector length mismatch")
     flow = _column(assignment.flow)
@@ -391,13 +384,10 @@ def validate_assignment(net: BoundedFlowNetwork,
         raise ValueError(f"flow {flow[i]} violates bounds on {net.arcs[i]}")
     balance = (_node_sums(net.node_count, net.head, flow)
                - _node_sums(net.node_count, net.tail, flow))
-    ends = balance[[net.source, net.sink]].tolist()
     balance[[net.source, net.sink]] = 0
     if balance.any():
         v = (balance != 0).argmax()
         raise ValueError(f"conservation violated at node {v}")
-    if ends[0] != -ends[1]:
-        raise ValueError("source and sink imbalance differ")
 
 
 def verify_optimality(net: BoundedFlowNetwork,

@@ -220,6 +220,19 @@ def _words(rng, count):
     return np.frombuffer(bits.to_bytes(4 * count, "little"), dtype="<u4")
 
 
+def _edge_count(n: int, mu: float) -> int:
+    """The ``round(n * mu / 2)`` edges of mean total degree ``mu``, or
+    ``ValueError`` unless a loopless digraph on ``n`` nodes holds them."""
+    count = n * mu / 2
+    if not count >= 0:  # NaN fails too
+        raise ValueError(f"mu must be non-negative, not {mu}")
+    target = round(count) if count < np.inf else count
+    if target > n * (n - 1):
+        raise ValueError(f"cannot place {target} distinct edges in a "
+                         f"{n}-node loopless digraph")
+    return target
+
+
 def _first_pairs(n, target, draw, budget=None):
     """The first ``target`` pairs of consecutive ``draw`` values that are no
     self-loop and no repeat, among its first ``budget`` pairs: what a loop
@@ -245,12 +258,7 @@ def generate_er(n: int, mu: float, seed: int) -> DiGraph:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if mu < 0:
-        raise ValueError("mu must be non-negative")
-    target = round(n * mu / 2)
-    if target > n * (n - 1):
-        raise ValueError(f"cannot place {target} distinct edges in a "
-                         f"{n}-node loopless digraph")
+    target = _edge_count(n, mu)
     rng = random.Random(seed)
     if 2 * target >= n * (n - 1):
         # dense regime: sample directly from the enumerated pair space
@@ -277,19 +285,14 @@ def generate_sf(n: int, mu: float, gamma: float, seed: int) -> DiGraph:
     at a time from ``random.Random(seed)`` would, replayed in bulk.
 
     Raises:
-        ValueError: gamma <= 2 or n < 2.
+        ValueError: gamma not above 2, n < 2 or a bad edge count.
         RuntimeError: the rejection loop exceeding ``100 * L`` attempts.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    if gamma <= 2:
-        raise ValueError("gamma must exceed 2")
-    if mu < 0:
-        raise ValueError("mu must be non-negative")
-    target = round(n * mu / 2)
-    if target > n * (n - 1):
-        raise ValueError(f"cannot place {target} distinct edges in a "
-                         f"{n}-node loopless digraph")
+    if not gamma > 2:  # NaN fails too; inf gives uniform weights
+        raise ValueError(f"gamma must exceed 2, not {gamma}")
+    target = _edge_count(n, mu)
     alpha = 1.0 / (gamma - 1.0)
     # Python's power and sum, to the last ulp: numpy's power can differ
     cum = np.array(list(accumulate((i + 1) ** (-alpha) for i in range(n))))

@@ -88,6 +88,46 @@ class TestRealize:
         assert np.array_equal(sys.A, A)
 
 
+def _one_node_system():
+    """x' = -x + u, y = x on one node."""
+    return LtiSystem([[-1.0]], [[1.0]], [[1.0]], [0])
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: LtiSystem(np.zeros((2, 3)), np.zeros((2, 1)), np.zeros((1, 3)),
+                       [0]), "A must be square"),
+    (lambda: LtiSystem(np.zeros((2, 2)), np.zeros((3, 1)), np.zeros((1, 2)),
+                       [0]), "B/C dimensions do not match A"),
+    (lambda: LtiSystem(np.zeros((2, 2)), np.zeros((2, 1)), np.zeros((1, 3)),
+                       [0]), "B/C dimensions do not match A"),
+    (lambda: LtiSystem([[np.nan]], [[1.0]], [[1.0]], [0]),
+     "matrix entries must be finite"),
+    (lambda: LtiSystem([[0.0]], [[np.inf]], [[1.0]], [0]),
+     "matrix entries must be finite"),
+    (lambda: realize_system(DiGraph(2, [(0, 1)]), [1],
+                            DriverAllocation(1, ((1, 0),)), seed=0),
+     "driver index 1 out of range"),
+    (lambda: design_input(_one_node_system(), [1.0], 0.0),
+     "t_f must be positive and finite"),
+    (lambda: design_input(_one_node_system(), [1.0], np.inf),
+     "t_f must be positive and finite"),
+    (lambda: design_input(_one_node_system(), [1.0], 1.0, steps=0),
+     "steps must be at least 1"),
+    (lambda: simulate(_one_node_system(), np.zeros((3, 1)), [1.0], -1.0, 2),
+     "t_f must be positive and finite"),
+    (lambda: simulate(_one_node_system(), np.zeros((3, 1)), [1.0], 1.0, 0),
+     "steps must be at least 1"),
+    (lambda: expm([[0.0, np.nan], [0.0, 0.0]]),
+     "matrix entries must be finite"),
+], ids=["A-not-square", "B-rows", "C-columns", "A-nan", "B-inf",
+        "driver-index", "design-t_f-zero", "design-t_f-inf", "design-steps",
+        "simulate-t_f", "simulate-steps", "expm-nan"])
+def test_bad_input_rejected(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
 class TestCoverCountIsUpperBound:
     """The cover count is the minimum target path cover.  The rank test
     can pass with fewer inputs: one input steers the targets it reaches at

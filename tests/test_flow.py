@@ -103,6 +103,19 @@ def test_non_integer_flow_rejected_without_warning(f):
                 check(net, FlowAssignment((f,), 0, np.array([True, False])))
 
 
+@pytest.mark.parametrize("flow, message", [
+    ((1, 1), "flow vector length mismatch"),
+    ((1, 0, 0), "conservation violated at node 1"),
+    ((1, 1, 0), "conservation violated at node 2"),
+], ids=["length", "conservation", "conservation-past-the-first"])
+def test_invalid_assignment_rejected(flow, message):
+    # the path 0 -> 1 -> 2 -> 3
+    net = BoundedFlowNetwork(4, (Arc(0, 1), Arc(1, 2), Arc(2, 3)), 0, 3)
+    with pytest.raises(ValueError) as exc:
+        validate_assignment(net, FlowAssignment(flow, 1))
+    assert str(exc.value) == message
+
+
 def _unbounded_path_networks():
     """Networks whose source reaches the sink along unbounded arcs: the
     path alone, and beside a finite path."""
@@ -762,6 +775,43 @@ def test_live_prefix_at_every_entry(name, monkeypatch):
             built = len(_Checked.entries)
             verify_optimality(net, fa)
             assert len(_Checked.entries) == built
+
+
+class _SourceShunned(_ResidualDinic):
+    """An engine that records, for each ``_refresh`` a maximum flow makes,
+    the flow's source and how many of the moved slots have it as head."""
+
+    refreshes = []
+
+    def max_flow(self, s, t):
+        self.source = s
+        try:
+            return super().max_flow(s, t)
+        finally:
+            del self.source
+
+    def _refresh(self, moved):
+        if hasattr(self, "source"):
+            into = np.count_nonzero(self._head_np[moved] == self.source)
+            self.refreshes.append((self.source, int(into)))
+        super()._refresh(moved)
+
+
+# the premise that lets max_flow filter its source's prefix and leave the
+# rest to _refresh: no slot a phase moves enters the flow's source, in
+# maximum flows and in the cancellation after the return arc is closed
+@pytest.mark.parametrize("name", GOLDEN)
+def test_no_phase_moves_a_slot_into_the_source(name, monkeypatch):
+    monkeypatch.setattr(targetflow.flow, "_ResidualDinic", _SourceShunned)
+    monkeypatch.setattr(_SourceShunned, "refreshes", [])
+    solver, nets = _golden_case(name)
+    assert _digest(solver, nets) == GOLDEN[name]
+    assert _SourceShunned.refreshes
+    assert not any(into for _, into in _SourceShunned.refreshes)
+    if solver is min_flow_with_bounds:
+        # a cancellation runs from each feasible network's sink
+        sources = {s for s, _ in _SourceShunned.refreshes}
+        assert {net.sink for net in nets} & sources
 
 
 def _both_ways(solver, net):

@@ -1,4 +1,5 @@
 import io
+import math
 import random
 import warnings
 
@@ -366,6 +367,50 @@ class TestGenerators:
     def test_sf_gamma_guard(self):
         with pytest.raises(ValueError, match="gamma"):
             generate_sf(100, 3.0, 2.0, seed=0)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: DiGraph(-1, []), "node count must be non-negative"),
+        (lambda: generate_er(0, 3, 1), "n must be at least 1"),
+        (lambda: generate_sf(1, 3, 3, 1), "n must be at least 2"),
+        (lambda: generate_er(10, -1, 1), "mu must be non-negative, not -1"),
+        (lambda: generate_sf(10, -0.5, 3, 1),
+         "mu must be non-negative, not -0.5"),
+        (lambda: generate_er(10, math.nan, 1),
+         "mu must be non-negative, not nan"),
+        (lambda: generate_sf(10, math.nan, 3, 1),
+         "mu must be non-negative, not nan"),
+        (lambda: generate_er(10, math.inf, 1),
+         "cannot place inf distinct edges in a 10-node loopless digraph"),
+        (lambda: generate_sf(10, math.inf, 3, 1),
+         "cannot place inf distinct edges in a 10-node loopless digraph"),
+        # finite, but n * mu / 2 overflows
+        (lambda: generate_er(10, 1e308, 1),
+         "cannot place inf distinct edges in a 10-node loopless digraph"),
+        (lambda: generate_er(3, 10, 0),
+         "cannot place 15 distinct edges in a 3-node loopless digraph"),
+        (lambda: generate_sf(3, 4.4, 3, 0),
+         "cannot place 7 distinct edges in a 3-node loopless digraph"),
+        (lambda: generate_sf(10, 3, math.nan, 1),
+         "gamma must exceed 2, not nan"),
+        (lambda: generate_sf(10, 3, -math.inf, 1),
+         "gamma must exceed 2, not -inf"),
+    ], ids=["graph-n", "er-n", "sf-n", "er-mu", "sf-mu", "er-mu-nan",
+            "sf-mu-nan", "er-mu-inf", "sf-mu-inf", "er-count-overflow",
+            "er-overfull", "sf-overfull", "sf-gamma-nan", "sf-gamma-ninf"])
+    def test_bad_parameters_rejected(self, make, message):
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("n, mu", [(10, 18.09), (3, 4.3)])
+    def test_edge_count_rounds_before_the_overfull_check(self, n, mu):
+        # n * mu / 2 is past n * (n - 1), but it rounds down to it
+        assert len(generate_er(n, mu, 0).edges) == n * (n - 1)
+        assert len(generate_sf(n, mu, 3, 0).edges) == n * (n - 1)
+
+    def test_sf_infinite_gamma_matches_per_edge_loop(self):
+        assert generate_sf(50, 3, math.inf, 4).edges == tuple(
+            sf_edges(50, 3, math.inf, 4))
 
     # the word filter of ``randrange`` changes at powers of two
     GRID_N = sorted({2, 3, 1000} | {2 ** j + d for j in (2, 3, 5, 8, 10, 13)
