@@ -5,13 +5,13 @@ The solvers run on the int64 arc columns of a
 standing in for ``INF``; residual capacities and returned flows are int64
 too.
 
-One residual engine runs every solver: maximum flow, the saturation of the
-associate graph behind feasible circulations, and the minimum flow, which
-saturates and then cancels on the same engine.  A maximum flow comes with
-the minimum cut its last level sweep found, which certifies it by weak
-duality (:func:`verify_optimality`) before it is returned.  A depth-3
-phase of unit arcs, as the first on a node-split target network, is a
-bipartite matching: the engine finds the DFS's one by deferred acceptance.
+One residual engine runs every maximum flow, which the minimum cut its last
+level sweep found certifies by weak duality (:func:`verify_optimality`)
+before it is returned.  Circulations and minimum flows are made of such
+flows: a saturated associate graph, and a feasible flow less a maximum
+flow on its residual network.  A depth-3 phase of unit arcs, as the first
+on a node-split target network, is a bipartite matching: the engine finds
+the DFS's one by deferred acceptance.
 
 Determinism: arcs are traversed in ascending insertion order everywhere
 (BFS level construction and blocking-flow DFS), so a given network always
@@ -328,16 +328,17 @@ def feasible_circulation(net: BoundedFlowNetwork) -> Optional[FlowAssignment]:
 def min_flow_with_bounds(net: BoundedFlowNetwork) -> FlowAssignment:
     """Feasible flow of minimum source-to-sink value.
 
-    Saturates the associate graph, with an unbounded return arc sink ->
-    source added unless one of lower bound zero exists, then closes the
-    return arc and cancels all it can on the same engine by a maximum flow
-    from sink back to source: what is left is minimal among feasible flows.
+    A feasible circulation, with an unbounded return arc sink -> source
+    added unless one of lower bound zero exists, less a maximum flow from
+    sink back to source on its residual network with the return arc closed:
+    both are certified, and what is left is minimal among feasible flows.
     The value is the net source -> sink flow of the arcs other than the
     return arc, which carries that value back, or nothing if it is negative.
 
     Raises:
         InfeasibleFlowError: no flow satisfies the bounds.
-        ValueError: a second unbounded sink -> source arc, so no minimum.
+        ValueError: a second unbounded sink -> source arc, so no minimum, or
+            a flow's cut fails :func:`verify_optimality`.
     """
     n, s, t, m = net.node_count, net.source, net.sink, net.tail.size
     u = net.unbounded
@@ -350,18 +351,22 @@ def min_flow_with_bounds(net: BoundedFlowNetwork) -> FlowAssignment:
             n, s, t, np.append(net.tail, t), np.append(net.head, s),
             np.append(net.lower, 0), np.append(net.cap, 0), np.append(u, m))
         r = m
-    plain = build_associate_graph(work)  # the images are its first arcs
-    engine = _ResidualDinic(n + 2, plain.tail, plain.head, plain.cap)
-    if engine.max_flow(n, n + 1) != sum(work.lower.tolist()):
+    feasible = feasible_circulation(work)
+    if feasible is None:
         raise InfeasibleFlowError("no feasible flow")
     if loops.size > bool(back.size):
         raise ValueError("the minimum flow is unbounded below")
-    # The added source and sink are saturated and drop out of the search.
-    value0 = int(engine.cap[2 * r + 1])
-    engine.cap[2 * r] = engine.cap[2 * r + 1] = 0
-    engine._refresh(np.array([2 * r, 2 * r + 1]))
-    value = value0 - engine.max_flow(t, s)
-    final = engine.pushed()[:work.tail.size] + work.lower
+    # residual arc 2i raises arc i's flow f, and arc 2i + 1 lowers it
+    f = feasible.flow
+    ends = np.stack((work.tail, work.head), 1)
+    tail, head = ends.ravel(), ends[:, ::-1].ravel()
+    res = np.stack((work.cap - f, f - work.lower), 1).ravel()
+    res[[2 * r, 2 * r + 1]] = 0  # the return arc, closed
+    res[(head == t) | (tail == s)] = 0  # no level graph from t uses them
+    cancel = max_flow_dinic(BoundedFlowNetwork.from_columns(
+        n, t, s, tail, head, np.broadcast_to(0, res.size), res))
+    value = int(f[r]) - cancel.value
+    final = f + cancel.flow[0::2] - cancel.flow[1::2]
     final[r] = max(value, 0)
     return FlowAssignment(final[:m], value)
 
@@ -376,6 +381,8 @@ def validate_assignment(net: BoundedFlowNetwork,
     flow = _column(assignment.flow)
     if _first_fraction(flow) is not None:
         raise ValueError("non-integer flow")
+    if flow.dtype == object:  # as Python ints, which sum exactly
+        flow = np.array(list(map(int, flow.tolist())), dtype=object)
     above = flow > net.cap
     above[net.unbounded] = False  # the sentinel bounds no flow
     bad = (flow < net.lower) | above

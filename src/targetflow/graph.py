@@ -223,7 +223,10 @@ def _words(rng, count):
 def _edge_count(n: int, mu: float) -> int:
     """The ``round(n * mu / 2)`` edges of mean total degree ``mu``, or
     ``ValueError`` unless a loopless digraph on ``n`` nodes holds them."""
-    count = n * mu / 2
+    try:
+        count = n * mu / 2
+    except OverflowError:  # an int n past the float range
+        raise ValueError("n * mu / 2 overflows a float") from None
     if not count >= 0:  # NaN fails too
         raise ValueError(f"mu must be non-negative, not {mu}")
     target = round(count) if count < np.inf else count

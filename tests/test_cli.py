@@ -271,6 +271,7 @@ class TestGenCommand:
      "cannot place inf distinct edges in a 10-node loopless digraph"),
     ("gen er --n 10 --mu 1e308",
      "cannot place inf distinct edges in a 10-node loopless digraph"),
+    ("gen er --n 1" + "0" * 400 + " --mu 3", "n * mu / 2 overflows a float"),
     ("sweep --gen er --n 10 --mu inf",
      "cannot place inf distinct edges in a 10-node loopless digraph"),
     ("gen sf --n 10 --mu 3 --gamma nan", "gamma must exceed 2, not nan"),
@@ -278,8 +279,8 @@ class TestGenCommand:
     ("gen sf --n 10 --mu -1", "mu must be non-negative, not -1.0"),
     ("gen er --n 0 --mu 3", "n must be at least 1"),
     ("sweep --n 10", "sweep needs --graph or --gen"),
-], ids=["mu-inf", "count-overflow", "sweep-mu-inf", "gamma-nan", "mu-nan",
-        "mu-negative", "n", "sweep-no-graph"])
+], ids=["mu-inf", "count-overflow", "n-overflow", "sweep-mu-inf",
+        "gamma-nan", "mu-nan", "mu-negative", "n", "sweep-no-graph"])
 def test_bad_parameters_exit_2(capsys, argv, message):
     assert main(argv.split()) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")

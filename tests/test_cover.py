@@ -357,6 +357,9 @@ class TestSolve:
             lambda: sweep(g, [0.5], 2, 1),
             lambda: feasible_circulation(
                 build_circulation_network(g, targets).net),
+            lambda: min_flow_with_bounds(
+                build_circulation_network(g, targets).net),
+            lambda: solve_via_circulation(g, targets),
         ]
         for answer in answers:
             with pytest.raises(ValueError, match="cut capacity"):

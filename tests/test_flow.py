@@ -116,6 +116,23 @@ def test_invalid_assignment_rejected(flow, message):
     assert str(exc.value) == message
 
 
+# 1e20 + 8192 is a tie between two floats that rounds down to 1e20, so a
+# float sum takes 1e20 into node 1 in both flows: it would reject the first,
+# which is balanced, and pass the second, whose inflow is 8192 too large
+@pytest.mark.parametrize("flow, balanced", [
+    ((1e20, 8192.0, 8192.0, 1e20 + 16384), True),
+    ((1e20, 8192.0, 0.0, 1e20), False),
+], ids=["balanced", "unbalanced"])
+def test_integral_float_flows_summed_exactly(flow, balanced):
+    arcs = (Arc(0, 1, 0, INF),) * 3 + (Arc(1, 2, 0, INF),)
+    fa = FlowAssignment(flow, int(flow[-1]))
+    if balanced:
+        validate_assignment(BoundedFlowNetwork(3, arcs, 0, 2), fa)
+    else:
+        with pytest.raises(ValueError, match="violated at node 1"):
+            validate_assignment(BoundedFlowNetwork(3, arcs, 0, 2), fa)
+
+
 def _unbounded_path_networks():
     """Networks whose source reaches the sink along unbounded arcs: the
     path alone, and beside a finite path."""
@@ -328,18 +345,31 @@ class TestMinFlow:
         assert fa.value == -4 and fa.cut is None
         validate_assignment(net, fa)
 
-    def test_saturates_and_cancels_on_one_engine(self, monkeypatch):
-        built = []
-
-        class Counted(_ResidualDinic):
-            def __init__(self, *args):
-                built.append(args[0])
-                super().__init__(*args)
-        monkeypatch.setattr(targetflow.flow, "_ResidualDinic", Counted)
+    def test_cancel_flow_is_certified(self, monkeypatch):
+        # an engine whose maximum flow from the network's sink stops at its
+        # second phase, though the sweep found a path: the flow it cancels
+        # is not maximum, so no cut shows it maximum and the minimum flow
+        # raises rather than answer with a flow that is not minimal
         g = generate_er(300, 3, 2)
         net = build_circulation_network(g, range(0, 300, 3)).net
+        stopped = []
+
+        class OnePhase(_ResidualDinic):
+            def _phase_csr(self, s, t):
+                layers = super()._phase_csr(s, t)
+                if s != net.sink or layers is None:
+                    return layers
+                if hasattr(self, "phased"):
+                    stopped.append(s)
+                    self.cut = np.arange(self.n) == s
+                    return None
+                self.phased = True
+                return layers
         validate_assignment(net, min_flow_with_bounds(net))
-        assert built == [net.node_count + 2]
+        monkeypatch.setattr(targetflow.flow, "_ResidualDinic", OnePhase)
+        with pytest.raises(ValueError, match="cut capacity"):
+            min_flow_with_bounds(net)
+        assert stopped == [net.sink]
 
     def test_min_not_above_circulation_value(self):
         rng = random.Random(55)
@@ -758,8 +788,8 @@ class _Checked(_ResidualDinic):
         return super()._phase_csr(s, t)
 
 
-# every golden case and the cancellation after the return arc is closed;
-# the certificate checks the engine's own cut without building another
+# every golden case, the minimum flows' cancel flows among them; the
+# certificate checks the engine's own cut without building another
 @pytest.mark.parametrize("name", GOLDEN)
 def test_live_prefix_at_every_entry(name, monkeypatch):
     monkeypatch.setattr(targetflow.flow, "_ResidualDinic", _Checked)
@@ -799,7 +829,7 @@ class _SourceShunned(_ResidualDinic):
 
 # the premise that lets max_flow filter its source's prefix and leave the
 # rest to _refresh: no slot a phase moves enters the flow's source, in
-# maximum flows and in the cancellation after the return arc is closed
+# maximum flows and in the minimum flows' cancel flows from the sink
 @pytest.mark.parametrize("name", GOLDEN)
 def test_no_phase_moves_a_slot_into_the_source(name, monkeypatch):
     monkeypatch.setattr(targetflow.flow, "_ResidualDinic", _SourceShunned)
@@ -912,7 +942,7 @@ def test_deferred_acceptance_declines_general_capacities():
 @pytest.mark.parametrize("cases", [_bounded_networks(55, 300),
                                    _cover_circulations(77, 200)])
 def test_deferred_acceptance_in_min_flow(cases):
-    # the cancelling max_flow(t, s) runs on the engine that saturated
+    # the cancel flow from t runs on the residual network of a feasible one
     for net in cases:
         try:
             matched, searched, _ = _both_ways(min_flow_with_bounds, net)

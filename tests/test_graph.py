@@ -386,6 +386,10 @@ class TestGenerators:
         # finite, but n * mu / 2 overflows
         (lambda: generate_er(10, 1e308, 1),
          "cannot place inf distinct edges in a 10-node loopless digraph"),
+        # n is past the float range
+        (lambda: generate_er(10 ** 400, 3, 1), "n * mu / 2 overflows a float"),
+        (lambda: generate_sf(10 ** 400, 3, 3, 1),
+         "n * mu / 2 overflows a float"),
         (lambda: generate_er(3, 10, 0),
          "cannot place 15 distinct edges in a 3-node loopless digraph"),
         (lambda: generate_sf(3, 4.4, 3, 0),
@@ -396,7 +400,8 @@ class TestGenerators:
          "gamma must exceed 2, not -inf"),
     ], ids=["graph-n", "er-n", "sf-n", "er-mu", "sf-mu", "er-mu-nan",
             "sf-mu-nan", "er-mu-inf", "sf-mu-inf", "er-count-overflow",
-            "er-overfull", "sf-overfull", "sf-gamma-nan", "sf-gamma-ninf"])
+            "er-n-overflow", "sf-n-overflow", "er-overfull", "sf-overfull",
+            "sf-gamma-nan", "sf-gamma-ninf"])
     def test_bad_parameters_rejected(self, make, message):
         with pytest.raises(ValueError) as exc:
             make()
