@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import FlowAssignment, max_flow_dinic, min_flow_with_bounds
-from .graph import DiGraph, _repeats
+from .graph import DiGraph, _edge_rows, _repeats
 from .network import BoundedFlowNetwork
 
 @dataclass(frozen=True)
@@ -104,7 +104,8 @@ def _checked_targets(g: DiGraph, targets) -> tuple[int, ...]:
     if not members:
         raise ValueError("empty target set")
     if members[0] < 0 or members[-1] >= g.n:
-        raise ValueError(f"target out of range for n={g.n}: {members}")
+        bad = next(v for v in members if not 0 <= v < g.n)
+        raise ValueError(f"target {bad} out of range for n={g.n}")
     return tuple(members)
 
 
@@ -133,9 +134,9 @@ def build_target_network(g: DiGraph, targets, *more) -> TargetFlowNetwork:
 
 
 def extract_cover_edges(tnet: TargetFlowNetwork | CirculationNetwork,
-                        assignment: FlowAssignment) -> list[tuple[int, int]]:
-    """Graph edges whose arc carries unit flow, in edge order, from either
-    node-split network.
+                        assignment: FlowAssignment) -> np.ndarray:
+    """Graph edges whose arc carries unit flow, from either node-split
+    network: the ``(tail, head)`` rows of one int64 array, in edge order.
 
     Raises:
         ValueError: some node has two selected in-edges or two selected
@@ -145,17 +146,16 @@ def extract_cover_edges(tnet: TargetFlowNetwork | CirculationNetwork,
     picked = arcs.start + np.flatnonzero(
         np.asarray(assignment.flow)[arcs.start:arcs.stop] == 1)
     tails, heads = tnet.net.tail[picked] - tnet.n, tnet.net.head[picked]
-    bad = _repeats(tails) | _repeats(heads)
-    if bad.any():
+    if (bad := _repeats(tails) | _repeats(heads)).any():
         i = bad.argmax()
         raise ValueError(
             f"flow selects conflicting edges at ({tails[i]}, {heads[i]})")
-    return list(zip(tails.tolist(), heads.tolist()))
+    return np.column_stack((tails, heads))
 
 
 def decompose_cover(cover_edges, targets) -> PathCover:
-    """Split a degree-at-most-one edge set into the covering paths and
-    cycles.
+    """Split a degree-at-most-one edge set, given as (tail, head) pairs or
+    the rows of an integer array, into the covering paths and cycles.
 
     Targets touching no edge become singleton paths.  Maximal chains are
     peeled from in-degree-zero nodes in ascending id order; what remains is
@@ -164,34 +164,28 @@ def decompose_cover(cover_edges, targets) -> PathCover:
 
     Raises:
         ValueError: ``cover_edges`` has a node with in-degree or
-            out-degree above one.
+            out-degree above one, or an id that is no int64 integer.
     """
-    nxt: dict[int, int] = {}
-    prv: dict[int, int] = {}
-    for t, h in cover_edges:
-        if t in nxt:
-            raise ValueError(f"node {t} has two outgoing cover edges")
-        if h in prv:
-            raise ValueError(f"node {h} has two incoming cover edges")
-        nxt[t] = h
-        prv[h] = t
+    tails, heads = _edge_rows(cover_edges).T
+    for ends, way in ((tails, "outgoing"), (heads, "incoming")):
+        if (bad := _repeats(ends)).any():
+            raise ValueError(
+                f"node {ends[bad.argmax()]} has two {way} cover edges")
+    tails, heads = tails.tolist(), heads.tolist()
+    nxt = dict(zip(tails, heads))
 
-    paths = [(v,) for v in sorted(set(targets).difference(nxt, prv))]
+    def peel(starts, walks):  # to the end of a chain, or round a cycle
+        for start in starts:
+            if start in nxt:  # not on an earlier walk
+                walk = [node := start]
+                while (node := nxt.pop(node, start)) != start:
+                    walk.append(node)
+                walks.append(tuple(walk))
+        return tuple(walks)
 
-    for head in sorted(u for u in nxt if u not in prv):
-        chain = [head]
-        while chain[-1] in nxt:
-            chain.append(nxt.pop(chain[-1]))
-        paths.append(tuple(chain))
-
-    cycles = []
-    for start in sorted(nxt):  # only cycles are left
-        if start in nxt:
-            cyc = [start]
-            while (node := nxt.pop(cyc[-1])) != start:
-                cyc.append(node)
-            cycles.append(tuple(cyc))
-    return PathCover(tuple(paths), tuple(cycles))
+    lone = [(v,) for v in sorted(set(targets).difference(tails, heads))]
+    paths = peel(sorted(nxt.keys() - heads), lone)
+    return PathCover(paths, peel(sorted(nxt), []))  # only cycles are left
 
 
 def _read_cover(tnet, assignment: FlowAssignment, links: int) -> Solution:
@@ -263,22 +257,15 @@ def allocate_drivers(cover: PathCover) -> DriverAllocation:
 def verify_cover(g: DiGraph, targets, cover: PathCover) -> bool:
     """True iff ``cover`` is a vertex-disjoint set of simple paths and
     cycles of ``g`` whose union covers every target."""
-    edge_set = set(g.edges)
-    seen: set[int] = set()
-    walks = ([(p, p[1:]) for p in cover.paths]
-             + [(c, c[1:] + c[:1]) for c in cover.cycles])
-    for nodes, successors in walks:
-        if len(nodes) == 0:
-            return False
-        for v in nodes:
-            if not (0 <= v < g.n) or v in seen:
-                return False
-            seen.add(v)
-        for a, b in zip(nodes, successors):
-            if (a, b) not in edge_set:
-                return False
+    walks = (*cover.paths, *cover.cycles)
+    nodes = [v for walk in walks for v in walk]
+    steps = [s for p in cover.paths for s in zip(p, p[1:])] + [
+        s for c in cover.cycles for s in zip(c, c[1:] + c[:1])]
     try:
         members = _checked_targets(g, targets)
     except ValueError:
         return False
-    return all(v in seen for v in members)
+    return (all(walks) and all(0 <= v < g.n for v in nodes)
+            and len(set(nodes)) == len(nodes)
+            and set(g.edges).issuperset(steps)
+            and set(nodes).issuperset(members))

@@ -9,6 +9,7 @@ import io
 import random
 from functools import cached_property
 from itertools import accumulate
+from numbers import Integral
 
 import numpy as np
 
@@ -37,6 +38,20 @@ def _pair_keys(tail, head, n):
     return (tail.astype(object) if n * n > 1 << 63 else tail) * n + head
 
 
+def _edge_rows(edges):
+    """(tail, head) pairs, or an m-by-2 array, of integers within int64 as
+    a new m-by-2 int64 array."""
+    pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+    pairs = pairs if pairs.size else np.zeros((0, 2), dtype=np.int64)
+    kind = pairs.dtype.kind
+    if kind not in "biu" or kind == "u" and pairs.max() >= 1 << 63:
+        raise ValueError(
+            f"node ids must be integers within int64, got {pairs.dtype}")
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError("edges must be (tail, head) pairs")
+    return pairs.astype(np.int64)
+
+
 class DiGraph:
     """Immutable directed graph over nodes ``0 .. n-1``.
 
@@ -48,18 +63,11 @@ class DiGraph:
 
     def __init__(self, n: int, edges):
         """``edges``: (tail, head) pairs, or an m-by-2 array, of integers."""
+        if not isinstance(n, Integral):
+            raise ValueError(f"node count must be an integer, not {n!r}")
         if n < 0:
             raise ValueError("node count must be non-negative")
-        if not isinstance(edges, np.ndarray):
-            edges = list(edges)
-        pairs = np.asarray(edges)
-        if pairs.size and pairs.dtype.kind not in "biu":
-            raise ValueError(f"node ids must be integers, got {pairs.dtype}")
-        pairs = pairs.astype(np.int64)
-        if pairs.size == 0:
-            pairs = pairs.reshape(0, 2)
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise ValueError("edges must be (tail, head) pairs")
+        pairs = _edge_rows(edges)
         cols = pairs.T.copy()
         cols.setflags(write=False)
         tail, head = cols
@@ -140,6 +148,8 @@ def _read_labels(text, width: int):
     from_file = hasattr(text, "read")
     if from_file:
         text = text.read()
+    if isinstance(text, (bytes, bytearray)):
+        raise TypeError("expected a str, a text file or str lines, not bytes")
     if not isinstance(text, str):
         return _line_labels(text, width)
     labels = _label_columns(text, width)
@@ -223,6 +233,8 @@ def _words(rng, count):
 def _edge_count(n: int, mu: float) -> int:
     """The ``round(n * mu / 2)`` edges of mean total degree ``mu``, or
     ``ValueError`` unless a loopless digraph on ``n`` nodes holds them."""
+    if not isinstance(n, Integral):
+        raise ValueError(f"n must be an integer, not {n!r}")
     try:
         count = n * mu / 2
     except OverflowError:  # an int n past the float range

@@ -35,8 +35,8 @@ def max_matching(g: DiGraph) -> Matching:
         return Matching((), 0)
     tnet = build_target_network(g, range(g.n))
     assignment = max_flow_dinic(tnet.net)
-    return Matching(tuple(extract_cover_edges(tnet, assignment)),
-                    assignment.value)
+    rows = extract_cover_edges(tnet, assignment).tolist()
+    return Matching(tuple(map(tuple, rows)), assignment.value)
 
 
 def driver_count(g: DiGraph) -> int:

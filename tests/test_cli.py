@@ -85,6 +85,19 @@ class TestSolveCommand:
         code, _ = run(capsys, "solve", "/nonexistent", TARGETS)
         assert code == 1
 
+    def test_golden_sf_all_target_stdout(self, capsys, tmp_path):
+        # SHA-256 of the report on a 20k-node SF graph with every label a
+        # target: it pins the canonical order of its 6430 paths
+        gfile, tfile = tmp_path / "g.txt", tmp_path / "t.txt"
+        run(capsys, "gen", "sf", "--n", "20000", "--mu", "3", "--seed", "1",
+            "--out", str(gfile))
+        labels = {int(t) for t in gfile.read_text().split()}
+        tfile.write_text("".join(f"{v}\n" for v in sorted(labels)))
+        code, out = run(capsys, "solve", str(gfile), str(tfile))
+        assert code == 0 and json.loads(out)["min_drivers"] == 6430
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "09f6323fe22feaf373aa7bb3132f3492c7b220ab407e1c3974232c0851abfdc7")
+
     def test_output_feeds_back_as_valid_cover(self, capsys):
         _, out = run(capsys, "solve", GRAPH, TARGETS)
         doc = json.loads(out)

@@ -176,6 +176,14 @@ class TestTargetNetworkUnion:
         with pytest.raises(ValueError, match="out of range"):
             build_target_network(g, [0], [1], [2])
 
+    def test_out_of_range_names_one_target(self):
+        # the message names the first offending target, not the whole set
+        g = DiGraph(100_000, [])
+        for targets, bad in ((range(100_001), 100_000), ([-3, -1, 5], -3)):
+            with pytest.raises(ValueError) as exc:
+                solve(g, targets)
+            assert str(exc.value) == f"target {bad} out of range for n=100000"
+
 
 class TestExtractCoverEdges:
     def test_zero_flow_gives_nothing(self, canonical):
@@ -183,7 +191,8 @@ class TestExtractCoverEdges:
         tnet = build_target_network(g, targets)
         zero = type(max_flow_dinic(tnet.net))(
             (0,) * len(tnet.net.arcs), 0)
-        assert extract_cover_edges(tnet, zero) == []
+        edges = extract_cover_edges(tnet, zero)
+        assert edges.shape == (0, 2) and edges.dtype == np.int64
 
     def test_canonical_flow_edges(self, canonical):
         g, targets = canonical
@@ -240,6 +249,21 @@ class TestDecompose:
         with pytest.raises(ValueError, match="incoming"):
             decompose_cover([(0, 2), (1, 2)], [2])
 
+    def test_sparse_and_negative_ids(self):
+        cover = decompose_cover([(0, 10 ** 12), (-5, 0)], [0, 7])
+        assert cover.paths == ((7,), (-5, 0, 10 ** 12))
+        assert decompose_cover(np.array([[3, -3], [-3, 3]]), [3]).cycles == (
+            (-3, 3),)
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1.5)], [(0.0, 1.0)], np.array([[0.0, 1.0]]), [(0, 2 ** 63)],
+        [(2 ** 63, 2 ** 63 + 1)], [(0, 2 ** 64)], [(-1, 2 ** 63)],
+        np.array([[0, 2 ** 63]], dtype=np.uint64)])
+    def test_id_not_int64_rejected(self, edges):
+        # a cast to int64 would truncate a float and wrap a large id
+        with pytest.raises(ValueError, match="must be integers within int64"):
+            decompose_cover(edges, [0])
+
     def test_matches_reference_peel(self):
         rng = random.Random(31)
         shapes = {"path": 0, "cycle": 0, "self-loop": 0, "singleton": 0}
@@ -251,6 +275,8 @@ class TestDecompose:
             targets = rng.sample(range(n), rng.randint(1, n))
             cover = decompose_cover(edges, targets)
             assert cover == peel_cover(edges, targets)
+            rows = np.array(edges, dtype=np.int64).reshape(-1, 2)
+            assert decompose_cover(rows, targets) == cover
             shapes["path"] += sum(len(p) > 1 for p in cover.paths)
             shapes["singleton"] += sum(len(p) == 1 for p in cover.paths)
             shapes["cycle"] += sum(len(c) > 1 for c in cover.cycles)
@@ -270,7 +296,7 @@ class TestDecompose:
                 used.extend(zip(p, p[1:]))
             for c in cover.cycles:
                 used.extend(zip(c, c[1:] + c[:1]))
-            assert sorted(used) == sorted(edges)
+            assert sorted(used) == sorted(map(tuple, edges.tolist()))
 
 
 class TestSolve:

@@ -43,7 +43,8 @@ class TestDiGraph:
         assert g.edges == ((1, 1),)
 
     @pytest.mark.parametrize("edges", [[(0.5, 1)], [("1", 0)], [(0, None)],
-                                       np.array([[0.0, 1.0]])])
+                                       np.array([[0.0, 1.0]]),
+                                       np.array([[0, 2 ** 63]], np.uint64)])
     def test_rejects_non_integer_ids(self, edges):
         with pytest.raises(ValueError, match="must be integers"):
             DiGraph(2, edges)
@@ -63,6 +64,7 @@ class TestDiGraph:
         assert DiGraph(2, np.array([[1, 0]], dtype=np.int32)).edges == ((1, 0),)
         for empty in ([], (), np.empty((0, 2))):
             assert DiGraph(2, empty).tail.size == 0
+        assert DiGraph(np.int64(2), [(1, 0)]).edges == ((1, 0),)
 
 
 class TestParse:
@@ -94,6 +96,13 @@ class TestParse:
             parse_edge_list("1 2\n3 4 5\n")
         with pytest.raises(EdgeListError, match="line 3"):
             parse_edge_list("1 2\n\n3 x\n")
+
+    @pytest.mark.parametrize("data", [b"0 1\n", bytearray(b"0 1\n"),
+                                      io.BytesIO(b"0 1\n")],
+                             ids=["bytes", "bytearray", "binary-file"])
+    def test_bytes_rejected(self, data):
+        with pytest.raises(TypeError, match="a str, a text file or str lines"):
+            parse_edge_list(data)
 
     def test_roundtrip_through_serialization(self):
         rng = random.Random(5)
@@ -398,10 +407,15 @@ class TestGenerators:
          "gamma must exceed 2, not nan"),
         (lambda: generate_sf(10, 3, -math.inf, 1),
          "gamma must exceed 2, not -inf"),
+        (lambda: DiGraph(2.5, [(0, 1)]),
+         "node count must be an integer, not 2.5"),
+        (lambda: generate_er(10.0, 3, 1), "n must be an integer, not 10.0"),
+        (lambda: generate_sf(10.0, 3, 3, 1), "n must be an integer, not 10.0"),
     ], ids=["graph-n", "er-n", "sf-n", "er-mu", "sf-mu", "er-mu-nan",
             "sf-mu-nan", "er-mu-inf", "sf-mu-inf", "er-count-overflow",
             "er-n-overflow", "sf-n-overflow", "er-overfull", "sf-overfull",
-            "sf-gamma-nan", "sf-gamma-ninf"])
+            "sf-gamma-nan", "sf-gamma-ninf", "graph-n-float", "er-n-float",
+            "sf-n-float"])
     def test_bad_parameters_rejected(self, make, message):
         with pytest.raises(ValueError) as exc:
             make()
