@@ -2,13 +2,14 @@
 
     python3 tools/record_bench.py --label NAME
 
-Run from a clean checkout.  For each workload of ``perfbench/run.py`` it
-runs ``python3 perfbench/run.py --workload W --seed 1 --seconds 15
---trace 0`` and writes ``BENCH_NAME.json`` at the repository root: per
-workload, the run's metadata and result lines as printed (``json.dumps``
-of each gives the line back byte for byte), plus a machine block with
-the Python and numpy versions, the processor count and the git commit.
-It refuses a tree with uncommitted changes to tracked files, so that the
+Run from a clean checkout.  For each workload that ``BENCHMARK.json``
+declares it runs ``python3 perfbench/run.py --workload W --seed 1
+--seconds S --trace 0``, S being the declared ``run_seconds``, and writes
+``BENCH_NAME.json`` at the repository root: per workload, the run's
+metadata and result lines as printed (``json.dumps`` of each gives the
+line back byte for byte), plus a machine block with the Python and numpy
+versions, the processor count, the platform and the git commit.  It
+refuses a tree with uncommitted changes to tracked files, so that the
 commit names the code that was measured, and exits 1 unless every answer
 of every run checked out.
 """
@@ -24,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("solve-er1e5", "whole-sf1e5", "sweep-er1e3", "verify-er80")
 
 
 def git(*args):
@@ -35,17 +35,16 @@ def git(*args):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=15)
     args = parser.parse_args(argv)
     if git("status", "--porcelain", "--untracked-files=no"):
         print("error: tracked files have uncommitted changes", file=sys.stderr)
         return 2
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     runs = {}
-    for workload in WORKLOADS:
+    for workload in (w["name"] for w in bench["workloads"]):
         proc = subprocess.run(
             [sys.executable, "perfbench/run.py", "--workload", workload,
-             "--seed", str(args.seed), "--seconds", str(args.seconds),
+             "--seed", "1", "--seconds", str(bench["run_seconds"]),
              "--trace", "0"], cwd=ROOT, capture_output=True, text=True,
             check=True)
         meta, result = map(json.loads, proc.stdout.splitlines()[-2:])
