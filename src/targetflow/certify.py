@@ -13,12 +13,10 @@ input exactly, by one block exponential, so no quadrature or integrator
 error sits between the design and its check.
 """
 
-import operator
-
 import numpy as np
 
 from .cover import DriverAllocation, _checked_targets
-from .graph import DiGraph
+from .graph import DiGraph, _ids
 
 RANK_RTOL = 1e-9
 CONDITION_LIMIT = 1e12
@@ -64,22 +62,17 @@ def realize_system(g: DiGraph, targets, alloc: DriverAllocation,
     the output selector for the sorted target set.  Deterministic per seed.
     """
     members = _checked_targets(g, targets)
-    try:  # index() takes Python and numpy integers, not a float or string
-        pairs = [tuple(map(operator.index, a)) for a in alloc.attachments]
-    except TypeError:
-        raise ValueError("attachment ids must be integers") from None
+    drivers, nodes = _ids(alloc.attachments, 2).T
+    for ids, bound, name in ((nodes, g.n, "attachment node"),
+                             (drivers, alloc.driver_count, "driver index")):
+        if (bad := (ids < 0) | (ids >= bound)).any():
+            raise ValueError(f"{name} {ids[bad.argmax()]} out of range")
     rng = np.random.default_rng(seed)
-    n = g.n
-    A = np.zeros((n, n))
+    A = np.zeros((g.n, g.n))
     A[g.head, g.tail] = rng.uniform(0.5, 1.5, size=g.tail.size)
-    B = np.zeros((n, alloc.driver_count))
-    for d, v in pairs:
-        if not 0 <= v < n:
-            raise ValueError(f"attachment node {v} out of range")
-        if not 0 <= d < alloc.driver_count:
-            raise ValueError(f"driver index {d} out of range")
-        B[v, d] = 1.0
-    C = np.zeros((len(members), n))
+    B = np.zeros((g.n, alloc.driver_count))
+    B[nodes, drivers] = 1.0
+    C = np.zeros((len(members), g.n))
     C[range(len(members)), members] = 1.0
     return LtiSystem(A, B, C, members)
 

@@ -17,13 +17,12 @@ Two equivalent routes are provided:
   directly.  It must agree with :func:`solve` and exists as a cross-check.
 """
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .flow import FlowAssignment, max_flow_dinic, min_flow_with_bounds
-from .graph import DiGraph, _edge_rows, _repeats
+from .graph import DiGraph, _ids, _repeats
 from .network import BoundedFlowNetwork
 
 @dataclass(frozen=True)
@@ -97,16 +96,13 @@ class CirculationNetwork:
 
 
 def _checked_targets(g: DiGraph, targets) -> tuple[int, ...]:
-    try:  # index() takes Python and numpy integers, not a float or string
-        members = sorted(set(operator.index(v) for v in targets))
-    except TypeError:
-        raise ValueError("target ids must be integers") from None
-    if not members:
+    targets = targets if isinstance(targets, np.ndarray) else list(targets)
+    ids = _ids(targets)  # int() below keeps the caller's int objects
+    if not ids.size:
         raise ValueError("empty target set")
-    if members[0] < 0 or members[-1] >= g.n:
-        bad = next(v for v in members if not 0 <= v < g.n)
-        raise ValueError(f"target {bad} out of range for n={g.n}")
-    return tuple(members)
+    if (bad := (ids < 0) | (ids >= g.n)).any():
+        raise ValueError(f"target {ids[bad].min()} out of range for n={g.n}")
+    return tuple(sorted(set(map(int, targets))))
 
 
 def build_target_network(g: DiGraph, targets, *more) -> TargetFlowNetwork:
@@ -164,9 +160,9 @@ def decompose_cover(cover_edges, targets) -> PathCover:
 
     Raises:
         ValueError: ``cover_edges`` has a node with in-degree or
-            out-degree above one, or an id that is no int64 integer.
+            out-degree above one, or an edge or target id is no int64.
     """
-    tails, heads = _edge_rows(cover_edges).T
+    tails, heads = _ids(cover_edges, 2).T
     for ends, way in ((tails, "outgoing"), (heads, "incoming")):
         if (bad := _repeats(ends)).any():
             raise ValueError(
@@ -183,8 +179,8 @@ def decompose_cover(cover_edges, targets) -> PathCover:
                 walks.append(tuple(walk))
         return tuple(walks)
 
-    lone = [(v,) for v in sorted(set(targets).difference(tails, heads))]
-    paths = peel(sorted(nxt.keys() - heads), lone)
+    lone = sorted(set(_ids(targets).tolist()).difference(tails, heads))
+    paths = peel(sorted(nxt.keys() - heads), [(v,) for v in lone])
     return PathCover(paths, peel(sorted(nxt), []))  # only cycles are left
 
 

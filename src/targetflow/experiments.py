@@ -12,6 +12,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from numbers import Integral
 
 from .cover import build_target_network
 from .flow import max_flow_dinic
@@ -44,8 +45,8 @@ def sweep(g: DiGraph, fractions, trials: int, seed: int) -> SweepResult:
     (fraction, trial-index) order, so a fixed seed reproduces results
     byte for byte.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    if not isinstance(trials, Integral) or trials < 1:
+        raise ValueError(f"trials must be a positive integer, not {trials!r}")
     fracs = sorted(float(f) for f in fractions)
     if not fracs or not all(0 < f <= 1 for f in fracs):
         raise ValueError("fractions must lie in (0, 1]")

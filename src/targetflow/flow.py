@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .network import BoundedFlowNetwork, _column, _first_fraction
+from .network import BoundedFlowNetwork, _integers
 
 
 class InfeasibleFlowError(RuntimeError):
@@ -378,17 +378,15 @@ def validate_assignment(net: BoundedFlowNetwork,
     zero, so the source then sends what the sink takes in."""
     if len(assignment.flow) != net.tail.size:
         raise ValueError("flow vector length mismatch")
-    flow = _column(assignment.flow)
-    if _first_fraction(flow) is not None:
+    flow, i = _integers(assignment.flow)
+    if i is not None:
         raise ValueError("non-integer flow")
-    if flow.dtype == object:  # as Python ints, which sum exactly
-        flow = np.array(list(map(int, flow.tolist())), dtype=object)
     above = flow > net.cap
     above[net.unbounded] = False  # the sentinel bounds no flow
     bad = (flow < net.lower) | above
     if bad.any():
         i = bad.argmax()
-        raise ValueError(f"flow {flow[i]} violates bounds on {net.arcs[i]}")
+        raise ValueError(f"flow {flow[i]} violates bounds on {net._arc(i)}")
     balance = (_node_sums(net.node_count, net.head, flow)
                - _node_sums(net.node_count, net.tail, flow))
     balance[[net.source, net.sink]] = 0
@@ -416,7 +414,7 @@ def verify_optimality(net: BoundedFlowNetwork,
     leaving, entering = out & ~into, into & ~out
     if leaving[net.unbounded].any():
         raise ValueError("an unbounded arc leaves the cut")
-    flow = _column(assignment.flow)
+    flow, _ = _integers(assignment.flow)
     capacity = (sum(net.cap[leaving].tolist())
                 - sum(net.lower[entering].tolist()))
     across = sum(flow[leaving].tolist()) - sum(flow[entering].tolist())

@@ -38,18 +38,19 @@ def _pair_keys(tail, head, n):
     return (tail.astype(object) if n * n > 1 << 63 else tail) * n + head
 
 
-def _edge_rows(edges):
-    """(tail, head) pairs, or an m-by-2 array, of integers within int64 as
-    a new m-by-2 int64 array."""
-    pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
-    pairs = pairs if pairs.size else np.zeros((0, 2), dtype=np.int64)
-    kind = pairs.dtype.kind
-    if kind not in "biu" or kind == "u" and pairs.max() >= 1 << 63:
+def _ids(values, *width):
+    """Integers within int64 as an int64 array, not copied when it is one
+    already: one-dimensional, or rows of ``width`` ids, as (tail, head)."""
+    ids = np.asarray(values if isinstance(values, np.ndarray) else list(values))
+    ids = ids if ids.size else ids.reshape(0, *width).astype(np.int64)
+    kind = ids.dtype.kind
+    if kind not in "biu" or kind == "u" and ids.max() >= 1 << 63:
         raise ValueError(
-            f"node ids must be integers within int64, got {pairs.dtype}")
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValueError("edges must be (tail, head) pairs")
-    return pairs.astype(np.int64)
+            f"node ids must be integers within int64, got {ids.dtype}")
+    if ids.shape[1:] != width:
+        raise ValueError("edges must be (tail, head) pairs" if width else
+                         f"node ids must be integers in one row: {ids.shape}")
+    return ids.astype(np.int64, copy=False)
 
 
 class DiGraph:
@@ -67,8 +68,7 @@ class DiGraph:
             raise ValueError(f"node count must be an integer, not {n!r}")
         if n < 0:
             raise ValueError("node count must be non-negative")
-        pairs = _edge_rows(edges)
-        cols = pairs.T.copy()
+        cols = _ids(edges, 2).T.copy()
         cols.setflags(write=False)
         tail, head = cols
         bad = (tail < 0) | (tail >= n) | (head < 0) | (head >= n)
@@ -123,6 +123,9 @@ def _line_labels(lines, width: int):
     integers when some label is beyond int64."""
     labels = []
     for line_no, raw in enumerate(lines, start=1):
+        if not isinstance(raw, str):
+            raise TypeError("expected a str, a text file or str lines, "
+                            f"not {type(raw).__name__}")
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

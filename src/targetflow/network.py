@@ -11,6 +11,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .graph import _ids
+
 INF = math.inf
 
 
@@ -21,19 +23,20 @@ class Arc(NamedTuple):
     cap: int | float = 1
 
 
-def _column(values):
-    """``values`` as int64, or as Python objects when one is not an int64:
-    a float or a larger integer."""
+def _integers(values):
+    """``values`` as int64 where they all fit, else as exact Python ints,
+    with ``None``; or as given, with the position of the first
+    non-integer.  One value at a time: numpy's object loop warns on NaN."""
     col = np.asarray(values)
-    return col if col.dtype == np.int64 else np.array(values, dtype=object)
-
-
-def _first_fraction(col):
-    """Position of the first non-integer value of a ``_column``, or
-    ``None``; tested one value at a time, as numpy's object loop would warn
-    on a NaN."""
-    bad = [v % 1 != 0 for v in col.tolist()] if col.dtype == object else ()
-    return bad.index(True) if any(bad) else None
+    if col.dtype == np.int64:
+        return col, None
+    col = np.array(values, dtype=object)  # asarray may round a large int
+    bad = [v % 1 != 0 for v in col.tolist()]
+    if any(bad):
+        return col, bad.index(True)
+    ints = list(map(int, col.tolist()))
+    fits = all(-1 << 63 <= v < 1 << 63 for v in ints)
+    return np.array(ints, dtype=np.int64 if fits else object), None
 
 
 class BoundedFlowNetwork:
@@ -70,21 +73,21 @@ class BoundedFlowNetwork:
         return net
 
     def _init_columns(self, n, s, t, tail, head, lower, cap, unbounded):
+        self.node_count, self.source, self.sink = n, s, t = _ids(
+            (n, s, t)).tolist()
         if not (0 <= s < n and 0 <= t < n):
             raise ValueError("source/sink out of range")
         if s == t:
             raise ValueError("source and sink must differ")
-        self.node_count, self.source, self.sink = n, s, t
-        self.tail = tail = np.asarray(tail, dtype=np.int64)
-        self.head = head = np.asarray(head, dtype=np.int64)
-        self.unbounded = np.asarray(unbounded, dtype=np.int64)
-        self.lower, self.cap = _column(lower), _column(cap)
-        for col, message in (
-                (self.lower, "lower bound must be a non-negative integer: {}"),
-                (self.cap, "finite capacity must be an integer: {}")):
-            i = _first_fraction(col)
-            if i is not None:
-                raise ValueError(message.format(self.arcs[i]))
+        self.tail = tail = _ids(tail)
+        self.head = head = _ids(head)
+        self.unbounded = _ids(unbounded)
+        (self.lower, i), (self.cap, j) = _integers(lower), _integers(cap)
+        for k, message in (
+                (i, "lower bound must be a non-negative integer: {}"),
+                (j, "finite capacity must be an integer: {}")):
+            if k is not None:
+                raise ValueError(message.format(self._arc(k)))
         try:
             self.lower = lower = self.lower.astype(np.int64, copy=False)
             self.cap = cap = self.cap.astype(np.int64,
@@ -109,9 +112,14 @@ class BoundedFlowNetwork:
                 ((tail == t) & live & (head != s),
                  "sink admits no outgoing arc besides a return arc")):
             if np.count_nonzero(bad):
-                raise ValueError(message.format(self.arcs[bad.argmax()]))
+                raise ValueError(message.format(self._arc(bad.argmax())))
         for col in (tail, head, lower, cap, self.unbounded):
             col.setflags(write=False)
+
+    def _arc(self, i):
+        """``arcs[i]``, without building the other arcs."""
+        return Arc(*(c.item(i) for c in (self.tail, self.head, self.lower)),
+                   INF if i in self.unbounded else self.cap.item(i))
 
     @cached_property
     def arcs(self) -> tuple[Arc, ...]:

@@ -107,6 +107,9 @@ def _one_node_system():
     (lambda: realize_system(DiGraph(2, [(0, 1)]), [1],
                             DriverAllocation(1, ((1, 0),)), seed=0),
      "driver index 1 out of range"),
+    (lambda: realize_system(DiGraph(2, [(0, 1)]), [1],
+                            DriverAllocation(1, ((0, 1), (0, 5))), seed=0),
+     "attachment node 5 out of range"),
     (lambda: design_input(_one_node_system(), [1.0], 0.0),
      "t_f must be positive and finite"),
     (lambda: design_input(_one_node_system(), [1.0], np.inf),
@@ -120,8 +123,9 @@ def _one_node_system():
     (lambda: expm([[0.0, np.nan], [0.0, 0.0]]),
      "matrix entries must be finite"),
 ], ids=["A-not-square", "B-rows", "C-columns", "A-nan", "B-inf",
-        "driver-index", "design-t_f-zero", "design-t_f-inf", "design-steps",
-        "simulate-t_f", "simulate-steps", "expm-nan"])
+        "driver-index", "attachment-node", "design-t_f-zero",
+        "design-t_f-inf", "design-steps", "simulate-t_f", "simulate-steps",
+        "expm-nan"])
 def test_bad_input_rejected(make, message):
     with pytest.raises(ValueError) as exc:
         make()

@@ -254,6 +254,9 @@ class TestDecompose:
         assert cover.paths == ((7,), (-5, 0, 10 ** 12))
         assert decompose_cover(np.array([[3, -3], [-3, 3]]), [3]).cycles == (
             (-3, 3),)
+        # array targets come back as Python ints, not numpy scalars
+        cover = decompose_cover(np.array([[0, 1]]), np.array([0, 1, 2]))
+        assert cover.paths == ((2,), (0, 1)) and type(cover.paths[0][0]) is int
 
     @pytest.mark.parametrize("edges", [
         [(0, 1.5)], [(0.0, 1.0)], np.array([[0.0, 1.0]]), [(0, 2 ** 63)],
@@ -348,10 +351,12 @@ class TestSolve:
 
     def test_non_integer_targets_rejected(self):
         g = DiGraph(3, [(0, 1), (1, 2)])
-        for targets in ([1.5], [1.0], ["1"]):
+        for targets in ([1.5], [1.0], ["1"], np.array([[1, 2]])):
             for route in (solve, solve_via_circulation):
                 with pytest.raises(ValueError, match="must be integers"):
                     route(g, targets)
+            with pytest.raises(ValueError, match="must be integers"):
+                decompose_cover([], targets)
         assert solve(g, np.array([1, 2], dtype=np.int32)).min_drivers == 1
 
     def test_self_looped_40k_under_5s(self):

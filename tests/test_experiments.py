@@ -62,6 +62,8 @@ def test_fraction_bounds_rejected(small_er):
         sweep(small_er, [1.5], trials=1, seed=0)
     with pytest.raises(ValueError):
         sweep(small_er, [0.5], trials=0, seed=0)
+    with pytest.raises(ValueError, match="trials must be a positive integer"):
+        sweep(small_er, [0.5], trials=2.0, seed=0)
     for fracs in ([0.5, float("nan")], [float("nan"), 0.5]):
         with pytest.raises(ValueError, match=r"lie in \(0, 1\]"):
             sweep(small_er, fracs, trials=1, seed=0)

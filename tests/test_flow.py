@@ -64,6 +64,21 @@ class TestNetworkValidation:
             BoundedFlowNetwork(2, arcs, 0, 2)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: BoundedFlowNetwork(3, (Arc(0, 1.7), Arc(1.2, 2)), 0, 2),
+    lambda: BoundedFlowNetwork.from_columns(
+        3, 0, 2, np.array([0.0, 1.0]), np.array([1.0, 2.0]), [0, 0], [1, 1]),
+    lambda: BoundedFlowNetwork(3, (Arc(0, 2 ** 64),), 0, 2),
+    lambda: BoundedFlowNetwork(3.5, (Arc(0, 1),), 0, 2),
+    lambda: BoundedFlowNetwork.from_columns(3, 0.0, 2, [0], [2], [0], [1]),
+], ids=["arc-endpoints", "float-columns", "endpoint-past-uint64",
+        "node-count", "source"])
+def test_non_integer_id_rejected(make):
+    # a cast to int64 would truncate 1.7 and 1.2 to the path 0 -> 1 -> 2
+    with pytest.raises(ValueError, match="must be integers"):
+        make()
+
+
 def _one_arc(build, lower, cap):
     """A one-arc network built from an ``Arc`` or from float64 columns."""
     if build == "arcs":
@@ -131,6 +146,13 @@ def test_integral_float_flows_summed_exactly(flow, balanced):
     else:
         with pytest.raises(ValueError, match="violated at node 1"):
             validate_assignment(BoundedFlowNetwork(3, arcs, 0, 2), fa)
+
+
+def test_cut_sums_integral_float_flows_exactly():
+    # 2^53 + 1 is no float: a float sum across the cut reads 2^53
+    net = BoundedFlowNetwork(2, (Arc(0, 1, 0, 2 ** 53), Arc(0, 1)), 0, 1)
+    verify_optimality(net, FlowAssignment((2.0 ** 53, 1.0), 2 ** 53 + 1,
+                                          np.array([True, False])))
 
 
 def _unbounded_path_networks():

@@ -98,8 +98,9 @@ class TestParse:
             parse_edge_list("1 2\n\n3 x\n")
 
     @pytest.mark.parametrize("data", [b"0 1\n", bytearray(b"0 1\n"),
-                                      io.BytesIO(b"0 1\n")],
-                             ids=["bytes", "bytearray", "binary-file"])
+                                      io.BytesIO(b"0 1\n"), [b"0 1"]],
+                             ids=["bytes", "bytearray", "binary-file",
+                                  "bytes-lines"])
     def test_bytes_rejected(self, data):
         with pytest.raises(TypeError, match="a str, a text file or str lines"):
             parse_edge_list(data)
