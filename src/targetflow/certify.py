@@ -63,10 +63,8 @@ def realize_system(g: DiGraph, targets, alloc: DriverAllocation,
     """
     members = _checked_targets(g, targets)
     drivers, nodes = _ids(alloc.attachments, 2).T
-    for ids, bound, name in ((nodes, g.n, "attachment node"),
-                             (drivers, alloc.driver_count, "driver index")):
-        if (bad := (ids < 0) | (ids >= bound)).any():
-            raise ValueError(f"{name} {ids[bad.argmax()]} out of range")
+    _ids(nodes, below=g.n, name="attachment node")
+    _ids(drivers, below=alloc.driver_count, name="driver index")
     rng = np.random.default_rng(seed)
     A = np.zeros((g.n, g.n))
     A[g.head, g.tail] = rng.uniform(0.5, 1.5, size=g.tail.size)

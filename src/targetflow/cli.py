@@ -41,7 +41,7 @@ def _read(path, what, reader):
         raise _InputError(EXIT_PARSE, f"cannot read {what} {path}: {exc}") from exc
 
 
-def _ids(labels, found, what):
+def _label_ids(labels, found, what):
     try:
         return [labels[lab] for lab in found]
     except KeyError as exc:
@@ -53,7 +53,7 @@ def _load(args):
     """The graph, label -> id map, sorted target ids and the labels by id."""
     g, labels = _read(args.graph, "graph", parse_edge_list)
     found = _read(args.targets, "targets", lambda fh: _read_labels(fh, 1))
-    members = sorted(set(_ids(labels, found.tolist(), "target")))
+    members = sorted(set(_label_ids(labels, found.tolist(), "target")))
     if not members:
         raise _InputError(EXIT_INVALID, "target set is empty")
     return g, labels, members, list(labels)
@@ -110,7 +110,8 @@ def _cmd_verify(args):
         raise ValueError("t_f must be positive and finite")
     g, labels, members, inv = _load(args)
     if args.attach:
-        nodes = _ids(labels, map(int, args.attach.split(",")), "attachment")
+        nodes = _label_ids(labels, map(int, args.attach.split(",")),
+                           "attachment")
         alloc = DriverAllocation(len(nodes), tuple(enumerate(nodes)))
     else:
         alloc = allocate_drivers(solve(g, members).cover)
@@ -140,11 +141,11 @@ def _cmd_verify(args):
             raise _InputError(EXIT_NUMERIC, str(exc)) from exc
         report["y_norm"] = float(np.linalg.norm(y_f))
         report["passed"] = report["y_norm"] <= Y_TOLERANCE
-        if args.out:
-            t = np.linspace(0.0, args.tf, states.shape[0])
-            with open(args.out, "w", encoding="utf-8") as fh:
-                certify.write_trajectory_csv(fh, t, states @ sysm.C.T)
     sys.stdout.write(json.dumps(report, indent=2) + "\n")
+    if args.out and report["controllable"]:  # the report stands if this fails
+        t = np.linspace(0.0, args.tf, states.shape[0])
+        with open(args.out, "w", encoding="utf-8") as fh:
+            certify.write_trajectory_csv(fh, t, states @ sysm.C.T)
     return EXIT_OK
 
 
@@ -225,12 +226,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _InputError as exc:
+    except (_InputError, OSError, ValueError) as exc:  # OSError: writing --out
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return (exc.code if isinstance(exc, _InputError) else
+                EXIT_PARSE if isinstance(exc, OSError) else EXIT_INVALID)
 
 
 if __name__ == "__main__":

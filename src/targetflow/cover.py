@@ -97,11 +97,9 @@ class CirculationNetwork:
 
 def _checked_targets(g: DiGraph, targets) -> tuple[int, ...]:
     targets = targets if isinstance(targets, np.ndarray) else list(targets)
-    ids = _ids(targets)  # int() below keeps the caller's int objects
-    if not ids.size:
+    # int() below keeps the caller's int objects
+    if not _ids(targets, below=g.n, name="target").size:
         raise ValueError("empty target set")
-    if (bad := (ids < 0) | (ids >= g.n)).any():
-        raise ValueError(f"target {ids[bad].min()} out of range for n={g.n}")
     return tuple(sorted(set(map(int, targets))))
 
 
@@ -259,9 +257,9 @@ def verify_cover(g: DiGraph, targets, cover: PathCover) -> bool:
         s for c in cover.cycles for s in zip(c, c[1:] + c[:1])]
     try:
         members = _checked_targets(g, targets)
+        _ids(nodes, below=g.n)
     except ValueError:
         return False
-    return (all(walks) and all(0 <= v < g.n for v in nodes)
-            and len(set(nodes)) == len(nodes)
+    return (all(walks) and len(set(nodes)) == len(nodes)
             and set(g.edges).issuperset(steps)
             and set(nodes).issuperset(members))

@@ -110,11 +110,10 @@ class _ResidualDinic:
         self._indptr_np = np.concatenate(([0], counts.sum(1).cumsum()))
         self.cap = np.zeros(2 * m, dtype=np.int64)
         self.cap[0::2] = cap
-        self._fwd = np.asarray(cap)  # read, never written
 
     def pushed(self) -> np.ndarray:
         """Net flow each arc gained, in arc order, as a read-only column."""
-        flow = self._fwd - self.cap[0::2]
+        flow = self.cap[1::2].copy()  # the reverse slots start at 0
         flow.setflags(write=False)
         return flow
 

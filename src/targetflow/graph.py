@@ -38,9 +38,10 @@ def _pair_keys(tail, head, n):
     return (tail.astype(object) if n * n > 1 << 63 else tail) * n + head
 
 
-def _ids(values, *width):
+def _ids(values, *width, below=None, name="node"):
     """Integers within int64 as an int64 array, not copied when it is one
-    already: one-dimensional, or rows of ``width`` ids, as (tail, head)."""
+    already: one-dimensional, or rows of ``width`` ids, as (tail, head);
+    with ``below``, each in ``range(below)``, or an error naming a ``name``."""
     ids = np.asarray(values if isinstance(values, np.ndarray) else list(values))
     ids = ids if ids.size else ids.reshape(0, *width).astype(np.int64)
     kind = ids.dtype.kind
@@ -50,7 +51,10 @@ def _ids(values, *width):
     if ids.shape[1:] != width:
         raise ValueError("edges must be (tail, head) pairs" if width else
                          f"node ids must be integers in one row: {ids.shape}")
-    return ids.astype(np.int64, copy=False)
+    ids = ids.astype(np.int64, copy=False)
+    if below is not None and (bad := (ids < 0) | (ids >= below)).any():
+        raise ValueError(f"{name} {ids[bad][0]} out of range for n={below}")
+    return ids
 
 
 class DiGraph:
@@ -68,16 +72,10 @@ class DiGraph:
             raise ValueError(f"node count must be an integer, not {n!r}")
         if n < 0:
             raise ValueError("node count must be non-negative")
-        cols = _ids(edges, 2).T.copy()
+        cols = _ids(edges, 2, below=n).T.copy()
         cols.setflags(write=False)
         tail, head = cols
-        bad = (tail < 0) | (tail >= n) | (head < 0) | (head >= n)
-        if bad.any():
-            i = bad.argmax()
-            raise ValueError(
-                f"edge ({tail[i]}, {head[i]}) out of range for n={n}")
-        bad = _repeats(_pair_keys(tail, head, n))
-        if bad.any():
+        if (bad := _repeats(_pair_keys(tail, head, n))).any():
             i = bad.argmax()
             raise ValueError(f"duplicate edge ({tail[i]}, {head[i]})")
         self.n, self.tail, self.head = n, tail, head
@@ -199,9 +197,12 @@ def parse_edge_list(text) -> tuple[DiGraph, dict[int, int]]:
 def format_edge_list(g: DiGraph, labels: dict[int, int] | None = None) -> str:
     """Serialize a graph in the edge-list file format.
 
-    ``labels`` is an original-label -> internal-id map as returned by
-    :func:`parse_edge_list`; without it internal ids are written as labels.
+    ``labels`` is an original-label -> internal-id map over ids ``0 .. n-1``,
+    as :func:`parse_edge_list` returns; without it ids are written as labels.
     """
+    if labels is not None and not np.array_equal(
+            np.sort(_ids(labels.values())), range(g.n)):
+        raise ValueError(f"label ids must be 0..{g.n - 1}, each once")
     name = range(g.n) if labels is None else sorted(labels, key=labels.get)
     words = np.array(list(map(str, name)), dtype=object)
     cells = np.full((g.tail.size, 4), " ", dtype=object)

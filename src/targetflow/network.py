@@ -73,15 +73,14 @@ class BoundedFlowNetwork:
         return net
 
     def _init_columns(self, n, s, t, tail, head, lower, cap, unbounded):
-        self.node_count, self.source, self.sink = n, s, t = _ids(
-            (n, s, t)).tolist()
-        if not (0 <= s < n and 0 <= t < n):
-            raise ValueError("source/sink out of range")
+        self.node_count = n = _ids((n,)).item()
+        self.source, self.sink = s, t = _ids(
+            (s, t), below=n, name="source/sink").tolist()
         if s == t:
             raise ValueError("source and sink must differ")
-        self.tail = tail = _ids(tail)
-        self.head = head = _ids(head)
-        self.unbounded = _ids(unbounded)
+        self.tail = tail = _ids(tail, below=n, name="arc endpoint")
+        self.head = head = _ids(head, below=n, name="arc endpoint")
+        self.unbounded = _ids(unbounded, below=tail.size, name="unbounded arc")
         (self.lower, i), (self.cap, j) = _integers(lower), _integers(cap)
         for k, message in (
                 (i, "lower bound must be a non-negative integer: {}"),
@@ -103,8 +102,6 @@ class BoundedFlowNetwork:
             raise ValueError("bound or INF sentinel beyond int64") from None
         live = cap > 0
         for bad, message in (
-                ((tail < 0) | (tail >= n) | (head < 0) | (head >= n),
-                 "arc endpoint out of range: {}"),
                 (lower < 0, "lower bound must be a non-negative integer: {}"),
                 (lower > cap, "lower bound exceeds capacity: {}"),
                 ((head == s) & live & (tail != t),

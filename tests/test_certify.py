@@ -106,10 +106,10 @@ def _one_node_system():
      "matrix entries must be finite"),
     (lambda: realize_system(DiGraph(2, [(0, 1)]), [1],
                             DriverAllocation(1, ((1, 0),)), seed=0),
-     "driver index 1 out of range"),
+     "driver index 1 out of range for n=1"),
     (lambda: realize_system(DiGraph(2, [(0, 1)]), [1],
                             DriverAllocation(1, ((0, 1), (0, 5))), seed=0),
-     "attachment node 5 out of range"),
+     "attachment node 5 out of range for n=2"),
     (lambda: design_input(_one_node_system(), [1.0], 0.0),
      "t_f must be positive and finite"),
     (lambda: design_input(_one_node_system(), [1.0], np.inf),

@@ -321,6 +321,24 @@ class TestMatchingCommand:
         assert code == 0 and out == "1\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "er", "--n", "10", "--mu", "3"],
+    ["solve", GRAPH, TARGETS],
+    ["matching", GRAPH],
+    ["sweep", "--gen", "er", "--n", "30", "--fractions", "0.5",
+     "--trials", "1"],
+    ["verify", GRAPH, TARGETS, "--seed", "7"],
+], ids=lambda argv: argv[0])
+def test_unwritable_out_exits_1(capsys, tmp_path, argv):
+    out_path = str(tmp_path / "missing" / "out.txt")
+    assert main(argv + ["--out", out_path]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert out_path in err
+    if argv[0] == "verify":  # the report is written before the trajectory
+        assert json.loads(out)["passed"] is True
+
+
 class TestVerifyCommand:
     def test_canonical_passes(self, capsys, tmp_path):
         traj = tmp_path / "traj.csv"

@@ -574,3 +574,10 @@ class TestVerifyCover:
         cover = PathCover(((0, 1, 2),), ())
         assert verify_cover(g, [1], cover)
         assert not verify_cover(g, [1.5], cover)
+
+    @pytest.mark.parametrize("node", [1.0, "1", 2, -1])
+    def test_cover_node_not_an_id_in_range_fails(self, node):
+        # 1.0 hashes and compares equal to node 1
+        g = DiGraph(2, [(0, 1)])
+        assert verify_cover(g, [1], PathCover(((0, 1),), ()))
+        assert not verify_cover(g, [1], PathCover(((0, node),), ()))

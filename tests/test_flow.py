@@ -79,6 +79,23 @@ def test_non_integer_id_rejected(make):
         make()
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: BoundedFlowNetwork(3, (Arc(0, 1), Arc(1, -1)), 0, 2),
+     "arc endpoint -1 out of range for n=3"),
+    (lambda: BoundedFlowNetwork.from_columns(
+        2, 0, 1, [0], [1], [0], [1], unbounded=[-1]),
+     "unbounded arc -1 out of range for n=1"),
+    (lambda: BoundedFlowNetwork.from_columns(
+        2, 0, 1, [0], [1], [0], [1], unbounded=[5]),
+     "unbounded arc 5 out of range for n=1"),
+], ids=["arc-endpoint", "unbounded-negative", "unbounded-past-m"])
+def test_id_out_of_range_rejected(make, message):
+    # a negative unbounded index would wrap to the last arc
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
 def _one_arc(build, lower, cap):
     """A one-arc network built from an ``Arc`` or from float64 columns."""
     if build == "arcs":

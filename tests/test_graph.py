@@ -318,6 +318,14 @@ class TestColumnsAndViews:
             assert format_edge_list(g, labels) == "".join(
                 f"{name[t]} {name[h]}\n" for t, h in g.edges)
 
+    @pytest.mark.parametrize("labels", [{10: 0, 20: 0}, {10: 0, 20: 2},
+                                        {10: 1}, {10: 0, 20: 1.0}],
+                             ids=["repeated", "past-n", "short", "float"])
+    def test_format_rejects_label_ids_not_0_to_n(self, labels):
+        # {10: 0, 20: 0} would write "10 20" for the edge (0, 1)
+        with pytest.raises(ValueError):
+            format_edge_list(DiGraph(2, [(0, 1)]), labels)
+
 
 class TestAdjacency:
     def test_identity_gives_self_loops(self):
