@@ -9,14 +9,16 @@ use ``json``.
 import argparse
 import json
 import sys
+from itertools import chain, islice
 
 import numpy as np
 
 from . import certify
 from .cover import DriverAllocation, allocate_drivers, solve
 from .experiments import sweep, sweep_to_csv, sweep_to_json
-from .graph import (_read_labels, format_edge_list, generate_er,
-                    generate_sf, parse_edge_list)
+from .flow import _distinct
+from .graph import (_parse_edges, _read_labels, format_edge_list,
+                    generate_er, generate_sf)
 from .matching import driver_count
 
 EXIT_OK = 0
@@ -41,22 +43,26 @@ def _read(path, what, reader):
         raise _InputError(EXIT_PARSE, f"cannot read {what} {path}: {exc}") from exc
 
 
-def _label_ids(labels, found, what):
-    try:
-        return [labels[lab] for lab in found]
-    except KeyError as exc:
-        raise _InputError(EXIT_INVALID, f"{what} label {exc.args[0]} does "
-                          "not occur in the graph") from None
+def _label_ids(names, found, what):
+    """The ids of the labels ``found``, by binary search over ``names``."""
+    order = np.argsort(names, kind="stable")  # the parse's sort kernel
+    at = np.searchsorted(names, found, sorter=order)
+    hit = at < names.size
+    hit[hit] = names[order[at[hit]]] == found[hit]
+    if not hit.all():
+        raise _InputError(EXIT_INVALID, f"{what} label {found[~hit][0]} does "
+                          "not occur in the graph")
+    return order[at]
 
 
 def _load(args):
-    """The graph, label -> id map, sorted target ids and the labels by id."""
-    g, labels = _read(args.graph, "graph", parse_edge_list)
+    """The graph, its labels by id and the sorted distinct target ids."""
+    g, names = _read(args.graph, "graph", _parse_edges)
     found = _read(args.targets, "targets", lambda fh: _read_labels(fh, 1))
-    members = sorted(set(_label_ids(labels, found.tolist(), "target")))
-    if not members:
+    members = _distinct(_label_ids(names, found, "target"))
+    if not members.size:
         raise _InputError(EXIT_INVALID, "target set is empty")
-    return g, labels, members, list(labels)
+    return g, names, members
 
 
 def _generate(kind, args):
@@ -87,20 +93,22 @@ def _rows(rows):
 
 
 def _cmd_solve(args):
-    g, _, members, inv = _load(args)
+    g, names, members = _load(args)
     sol = solve(g, members)
-    label = inv.__getitem__
-    pairs = ((d, label(v)) for d, v in allocate_drivers(sol.cover).attachments)
+    paths, cycles = sol.cover.paths, sol.cover.cycles
+    drivers, nodes = zip(*allocate_drivers(sol.cover).attachments)
+    # the labels of the nodes printed, in print order, by one gather
+    label = iter(names[np.fromiter(chain(*paths, *cycles, nodes), int)].tolist())
     _emit(f'{{\n  "min_drivers": {sol.min_drivers},\n'
-          f'  "paths": {_rows(map(label, p) for p in sol.cover.paths)},\n'
-          f'  "cycles": {_rows(map(label, c) for c in sol.cover.cycles)},\n'
-          f'  "attachments": {_rows(pairs)},\n'
+          f'  "paths": {_rows(islice(label, len(p)) for p in paths)},\n'
+          f'  "cycles": {_rows(islice(label, len(c)) for c in cycles)},\n'
+          f'  "attachments": {_rows(zip(drivers, label))},\n'
           f'  "flow_value": {sol.flow_value}\n}}\n', args.out)
     return EXIT_OK
 
 
 def _cmd_matching(args):
-    g, _ = _read(args.graph, "graph", parse_edge_list)
+    g, _ = _read(args.graph, "graph", _parse_edges)
     _emit(f"{driver_count(g)}\n", args.out)
     return EXIT_OK
 
@@ -108,19 +116,20 @@ def _cmd_matching(args):
 def _cmd_verify(args):
     if not 0 < args.tf < np.inf:  # before the rank test, which ignores it
         raise ValueError("t_f must be positive and finite")
-    g, labels, members, inv = _load(args)
-    if args.attach:
-        nodes = _label_ids(labels, map(int, args.attach.split(",")),
-                           "attachment")
+    g, names, members = _load(args)
+    if args.attach:  # Python ints: int64 beside uint64 compares as float
+        found = np.array([*map(int, args.attach.split(","))], object)
+        nodes = _label_ids(names, found, "attachment").tolist()
         alloc = DriverAllocation(len(nodes), tuple(enumerate(nodes)))
     else:
         alloc = allocate_drivers(solve(g, members).cover)
+    att = np.array(alloc.attachments)
     sysm = certify.realize_system(g, members, alloc, args.seed)
     rank = certify.kalman_target_rank(sysm)
     report = {
         "targets": len(members),
         "drivers": alloc.driver_count,
-        "attachments": [[d, inv[v]] for d, v in alloc.attachments],
+        "attachments": np.column_stack((att[:, 0], names[att[:, 1]])).tolist(),
         "rank": rank,
         "controllable": rank == len(members),
         "t_f": args.tf,
@@ -151,7 +160,7 @@ def _cmd_verify(args):
 
 def _cmd_sweep(args):
     if args.graph:
-        g, _ = _read(args.graph, "graph", parse_edge_list)
+        g, _ = _read(args.graph, "graph", _parse_edges)
     elif args.gen:
         g = _generate(args.gen, args)
     else:

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import FlowAssignment, max_flow_dinic, min_flow_with_bounds
+from .flow import (FlowAssignment, _distinct, max_flow_dinic,
+                   min_flow_with_bounds)
 from .graph import DiGraph, _ids, _repeats
 from .network import BoundedFlowNetwork
 
@@ -96,11 +97,9 @@ class CirculationNetwork:
 
 
 def _checked_targets(g: DiGraph, targets) -> tuple[int, ...]:
-    targets = targets if isinstance(targets, np.ndarray) else list(targets)
-    # int() below keeps the caller's int objects
-    if not _ids(targets, below=g.n, name="target").size:
+    if not (ids := _ids(targets, below=g.n, name="target")).size:
         raise ValueError("empty target set")
-    return tuple(sorted(set(map(int, targets))))
+    return tuple(_distinct(ids).tolist())
 
 
 def build_target_network(g: DiGraph, targets, *more) -> TargetFlowNetwork:
@@ -165,6 +164,10 @@ def decompose_cover(cover_edges, targets) -> PathCover:
         if (bad := _repeats(ends)).any():
             raise ValueError(
                 f"node {ends[bad.argmax()]} has two {way} cover edges")
+    touched = np.sort(np.concatenate((tails, heads)))
+    members = _distinct(_ids(targets))
+    lone = members[touched.searchsorted(members)
+                   == touched.searchsorted(members, "right")].tolist()
     tails, heads = tails.tolist(), heads.tolist()
     nxt = dict(zip(tails, heads))
 
@@ -177,7 +180,6 @@ def decompose_cover(cover_edges, targets) -> PathCover:
                 walks.append(tuple(walk))
         return tuple(walks)
 
-    lone = sorted(set(_ids(targets).tolist()).difference(tails, heads))
     paths = peel(sorted(nxt.keys() - heads), [(v,) for v in lone])
     return PathCover(paths, peel(sorted(nxt), []))  # only cycles are left
 

@@ -129,9 +129,11 @@ class _ResidualDinic:
         their old prefixes and the partners they gained, kept where live."""
         nodes = _distinct(self._head_np[moved])
         slots = np.concatenate((self._adj_np[self._prefix(nodes)], moved ^ 1))
+        slots = slots[self.cap[slots] > 0]
         span = self._head_np.size
-        key = self._head_np[slots ^ 1] * span + slots
-        tails, slots = np.divmod(_distinct(key[self.cap[slots] > 0]), span)
+        key = self._head_np[slots ^ 1] * span
+        key += slots
+        tails, slots = np.divmod(_distinct(key), span)
         self._live[nodes] = np.bincount(tails, minlength=self.n)[nodes]
         self._adj_np[self._prefix(nodes)] = slots
 
@@ -145,9 +147,11 @@ class _ResidualDinic:
             pushed = self.cap[slots] - res
             total += sum(pushed[slots.size - layers[-1].size:].tolist())
             layers = res = None  # free the phase before the refresh
+            moved = np.flatnonzero(pushed)  # and keep only the moved slots
+            slots, pushed = slots[moved], pushed[moved]
             self.cap[slots] -= pushed
             self.cap[slots ^ 1] += pushed
-            self._refresh(slots[pushed != 0])
+            self._refresh(slots)
             live = self._adj_np[self._indptr_np[s]:][:self._live[s]]
             kept = live[self.cap[live] > 0]
             self._live[s] = kept.size

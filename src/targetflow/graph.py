@@ -45,7 +45,7 @@ def _ids(values, *width, below=None, name="node"):
     ids = np.asarray(values if isinstance(values, np.ndarray) else list(values))
     ids = ids if ids.size else ids.reshape(0, *width).astype(np.int64)
     kind = ids.dtype.kind
-    if kind not in "biu" or kind == "u" and ids.max() >= 1 << 63:
+    if kind not in "iu" or kind == "u" and ids.max() >= 1 << 63:
         raise ValueError(
             f"node ids must be integers within int64, got {ids.dtype}")
     if ids.shape[1:] != width:
@@ -160,20 +160,8 @@ def _read_labels(text, width: int):
     return labels
 
 
-def parse_edge_list(text) -> tuple[DiGraph, dict[int, int]]:
-    """Parse "tail head" integer pairs, one per line.
-
-    Lines starting with ``#`` and blank lines are skipped.  Labels are
-    compacted to dense 0-based ids in first-appearance order; duplicate edges
-    collapse to one.  Returns the graph and the label -> internal-id map, in id
-    order.  ``text`` is a string, a text file (read whole, then split into the
-    lines iterating it would give) or an iterable of lines.  Text of digits and
-    whitespace only is read by numpy's text reader; anything else, comments and
-    errors included, goes through the line loop.
-
-    Raises:
-        EdgeListError: wrong token count, non-integer or negative token.
-    """
+def _parse_edges(text) -> tuple[DiGraph, np.ndarray]:
+    """:func:`parse_edge_list`'s graph, and its labels by id as one array."""
     labels = _read_labels(text, 2)
     # relabel by first appearance: a stable sort puts each label's first
     # position in front of its group
@@ -191,7 +179,25 @@ def parse_edge_list(text) -> tuple[DiGraph, dict[int, int]]:
     tail, head = ids[0::2], ids[1::2]
     keep = ~_repeats(_pair_keys(tail, head, n))
     g = DiGraph(n, np.column_stack((tail[keep], head[keep])))
-    return g, dict(zip(labels[first[by_first]].tolist(), range(n)))
+    return g, labels[first[by_first]]
+
+
+def parse_edge_list(text) -> tuple[DiGraph, dict[int, int]]:
+    """Parse "tail head" integer pairs, one per line.
+
+    Lines starting with ``#`` and blank lines are skipped.  Labels are
+    compacted to dense 0-based ids in first-appearance order; duplicate edges
+    collapse to one.  Returns the graph and the label -> internal-id map, in id
+    order.  ``text`` is a string, a text file (read whole, then split into the
+    lines iterating it would give) or an iterable of lines.  Text of digits and
+    whitespace only is read by numpy's text reader; anything else, comments and
+    errors included, goes through the line loop.
+
+    Raises:
+        EdgeListError: wrong token count, non-integer or negative token.
+    """
+    g, names = _parse_edges(text)
+    return g, dict(zip(names.tolist(), range(g.n)))
 
 
 def format_edge_list(g: DiGraph, labels: dict[int, int] | None = None) -> str:

@@ -82,6 +82,10 @@ class BoundedFlowNetwork:
         self.head = head = _ids(head, below=n, name="arc endpoint")
         self.unbounded = _ids(unbounded, below=tail.size, name="unbounded arc")
         (self.lower, i), (self.cap, j) = _integers(lower), _integers(cap)
+        sizes = tail.size, head.size, self.lower.size, self.cap.size
+        if len(set(sizes)) > 1:
+            raise ValueError("arc columns differ in length: tail {}, head {}, "
+                             "lower {}, cap {}".format(*sizes))
         for k, message in (
                 (i, "lower bound must be a non-negative integer: {}"),
                 (j, "finite capacity must be an integer: {}")):

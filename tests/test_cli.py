@@ -11,8 +11,8 @@ import pytest
 
 import targetflow.certify
 import targetflow.cli
-from targetflow import (PathCover, format_edge_list, generate_er,
-                        parse_edge_list, solve, verify_cover)
+from targetflow import (PathCover, allocate_drivers, format_edge_list,
+                        generate_er, parse_edge_list, solve, verify_cover)
 from targetflow.cli import main
 
 from reference import double_cover_drivers
@@ -156,6 +156,59 @@ class TestSolveReportBytes:
             assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
+def _dict_route(text, targets):
+    """The ``solve`` report through ``parse_edge_list``'s label dict."""
+    g, labels = parse_edge_list(text)
+    name = list(labels)  # in id order
+    sol = solve(g, [labels[v] for v in targets])
+    alloc = allocate_drivers(sol.cover)
+    return json.dumps({
+        "min_drivers": sol.min_drivers,
+        "paths": [[name[v] for v in p] for p in sol.cover.paths],
+        "cycles": [[name[v] for v in c] for c in sol.cover.cycles],
+        "attachments": [[d, name[v]] for d, v in alloc.attachments],
+        "flow_value": sol.flow_value}, indent=2) + "\n"
+
+
+class TestLabelArray:
+    """The CLI keeps the labels as one array in id order and maps them by
+    binary search; its bytes are those of the label dict."""
+
+    @pytest.mark.parametrize("label", [
+        lambda v: 1_000_003 * v + 17,  # sparse
+        lambda v: 2 ** 63 + v,  # the line loop's Python integers
+        lambda v: 2 ** 64 * (v % 3) + v,  # int64 and beyond mixed
+        lambda v: (7 * v) % 101,  # first appearances out of ascending order
+    ], ids=["sparse", "beyond-int64", "mixed", "shuffled"])
+    def test_solve_matches_dict_route(self, capsys, tmp_path, label):
+        rng = random.Random(29)
+        for _ in range(25):
+            n = rng.randint(1, 20)
+            edges = [(label(rng.randrange(n)), label(rng.randrange(n)))
+                     for _ in range(rng.randint(1, 3 * n))]
+            edges += rng.sample(edges, len(edges) // 3)  # repeated edges
+            nodes = sorted({v for e in edges for v in e})
+            targets = rng.choices(nodes, k=rng.randint(1, len(nodes)))
+            text = "".join(f"{a} {b}\n" for a, b in edges)
+            out = _solve_text(capsys, tmp_path, edges, targets)
+            assert out == _dict_route(text, targets), text
+
+    def test_verify_attachments_are_labels(self, capsys, tmp_path):
+        big = 2 ** 64
+        text, targets = f"{big} 5\n5 {big + 1}\n{big + 2} 5\n", [big + 1, 5]
+        gfile, tfile = tmp_path / "g.txt", tmp_path / "t.txt"
+        gfile.write_text(text)
+        tfile.write_text("".join(f"{v}\n" for v in targets))
+        want = json.loads(_dict_route(text, targets))
+        code, out = run(capsys, "verify", str(gfile), str(tfile))
+        assert code == 0
+        assert json.loads(out)["attachments"] == want["attachments"]
+        code, out = run(capsys, "verify", str(gfile), str(tfile),
+                        "--attach", f"{big + 2},{big}")
+        assert code == 0
+        assert json.loads(out)["attachments"] == [[0, big + 2], [1, big]]
+
+
 class TestInputFiles:
     """Graph and target files go through one reader with one set of rules."""
 
@@ -207,10 +260,19 @@ class TestInputFiles:
 
     @pytest.mark.parametrize("text, extra, message", [
         ("2\n42\n", [], "target label 42 does not occur in the graph"),
+        ("99\n2\n42\n", [], "target label 99 does not occur in the graph"),
+        (f"2\n{2 ** 64}\n", [],
+         f"target label {2 ** 64} does not occur in the graph"),
         ("# none\n\n", [], "target set is empty"),
         ("2\n", ["--attach", "2,42"],
          "attachment label 42 does not occur in the graph"),
-    ], ids=["unknown-target", "empty", "unknown-attachment"])
+        ("2\n", ["--attach", "2,42,-1,1"],
+         "attachment label 42 does not occur in the graph"),
+        ("2\n", ["--attach", f"{2 ** 63},2"],
+         f"attachment label {2 ** 63} does not occur in the graph"),
+    ], ids=["unknown-target", "first-unknown-target", "target-beyond-int64",
+            "empty", "unknown-attachment", "first-unknown-attachment",
+            "attachment-beyond-int64"])
     def test_semantic_errors_exit_2(self, capsys, tmp_path, text, extra,
                                     message):
         tfile = tmp_path / "t.txt"

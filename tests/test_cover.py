@@ -258,6 +258,13 @@ class TestDecompose:
         cover = decompose_cover(np.array([[0, 1]]), np.array([0, 1, 2]))
         assert cover.paths == ((2,), (0, 1)) and type(cover.paths[0][0]) is int
 
+    @pytest.mark.parametrize("targets", [
+        [9, -7, 1, 9, -7, 3, -4], np.array([3, 9, -7, 9, -4, 1]), (9, 3, -7)])
+    def test_lone_targets_unsorted_repeated_negative(self, targets):
+        cover = decompose_cover([(0, 1), (5, -4)], targets)
+        assert cover.paths == ((-7,), (3,), (9,), (0, 1), (5, -4))
+        assert all(type(v) is int for p in cover.paths for v in p)
+
     @pytest.mark.parametrize("edges", [
         [(0, 1.5)], [(0.0, 1.0)], np.array([[0.0, 1.0]]), [(0, 2 ** 63)],
         [(2 ** 63, 2 ** 63 + 1)], [(0, 2 ** 64)], [(-1, 2 ** 63)],
@@ -351,13 +358,20 @@ class TestSolve:
 
     def test_non_integer_targets_rejected(self):
         g = DiGraph(3, [(0, 1), (1, 2)])
-        for targets in ([1.5], [1.0], ["1"], np.array([[1, 2]])):
+        for targets in ([1.5], [1.0], ["1"], np.array([[1, 2]]),
+                        np.array([True, False, True])):
             for route in (solve, solve_via_circulation):
                 with pytest.raises(ValueError, match="must be integers"):
                     route(g, targets)
             with pytest.raises(ValueError, match="must be integers"):
                 decompose_cover([], targets)
         assert solve(g, np.array([1, 2], dtype=np.int32)).min_drivers == 1
+
+    def test_bool_among_ints_is_its_int(self):
+        # a bool array is a mask and is rejected above (read as ids, it
+        # would name the targets 0 and 1); a bool in a list is 0 or 1
+        g = DiGraph(4, [(0, 1), (2, 3)])
+        assert solve(g, [True, 3]) == solve(g, [1, 3])
 
     def test_self_looped_40k_under_5s(self):
         # a self-loop at every node: tens of thousands of cover cycles

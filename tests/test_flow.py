@@ -96,6 +96,18 @@ def test_id_out_of_range_rejected(make, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("tail, head, lower, cap, sizes", [
+    ([0, 1], [1], [0, 0], [1, 1], "tail 2, head 1, lower 2, cap 2"),
+    ([0], [2], [0, 0], [1, 1], "tail 1, head 1, lower 2, cap 2"),
+    ([0, 1], [1, 2], [0, 0], [1], "tail 2, head 2, lower 2, cap 1"),
+], ids=["head-short", "endpoints-short", "cap-short"])
+def test_arc_columns_of_unequal_length_rejected(tail, head, lower, cap, sizes):
+    # zipped, the columns would shrink to their shortest
+    with pytest.raises(ValueError) as exc:
+        BoundedFlowNetwork.from_columns(3, 0, 2, tail, head, lower, cap)
+    assert str(exc.value) == f"arc columns differ in length: {sizes}"
+
+
 def _one_arc(build, lower, cap):
     """A one-arc network built from an ``Arc`` or from float64 columns."""
     if build == "arcs":

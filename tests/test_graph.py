@@ -44,7 +44,8 @@ class TestDiGraph:
 
     @pytest.mark.parametrize("edges", [[(0.5, 1)], [("1", 0)], [(0, None)],
                                        np.array([[0.0, 1.0]]),
-                                       np.array([[0, 2 ** 63]], np.uint64)])
+                                       np.array([[0, 2 ** 63]], np.uint64),
+                                       np.array([[True, False]])])
     def test_rejects_non_integer_ids(self, edges):
         with pytest.raises(ValueError, match="must be integers"):
             DiGraph(2, edges)
