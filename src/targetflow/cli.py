@@ -17,8 +17,8 @@ from . import certify
 from .cover import DriverAllocation, allocate_drivers, solve
 from .experiments import sweep, sweep_to_csv, sweep_to_json
 from .flow import _distinct
-from .graph import (_parse_edges, _read_labels, format_edge_list,
-                    generate_er, generate_sf)
+from .graph import (_label_ids, _parse_edges, _read_labels,
+                    format_edge_list, generate_er, generate_sf)
 from .matching import driver_count
 
 EXIT_OK = 0
@@ -41,18 +41,6 @@ def _read(path, what, reader):
             return reader(fh)
     except (OSError, ValueError) as exc:  # a UnicodeDecodeError is a ValueError
         raise _InputError(EXIT_PARSE, f"cannot read {what} {path}: {exc}") from exc
-
-
-def _label_ids(names, found, what):
-    """The ids of the labels ``found``, by binary search over ``names``."""
-    order = np.argsort(names, kind="stable")  # the parse's sort kernel
-    at = np.searchsorted(names, found, sorter=order)
-    hit = at < names.size
-    hit[hit] = names[order[at[hit]]] == found[hit]
-    if not hit.all():
-        raise _InputError(EXIT_INVALID, f"{what} label {found[~hit][0]} does "
-                          "not occur in the graph")
-    return order[at]
 
 
 def _load(args):

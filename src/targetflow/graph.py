@@ -70,8 +70,10 @@ class DiGraph:
         """``edges``: (tail, head) pairs, or an m-by-2 array, of integers."""
         if not isinstance(n, Integral):
             raise ValueError(f"node count must be an integer, not {n!r}")
-        if n < 0:
+        if (n := int(n)) < 0:
             raise ValueError("node count must be non-negative")
+        if n >= 1 << 63:
+            raise ValueError(f"node count {n} is beyond int64")
         cols = _ids(edges, 2, below=n).T.copy()
         cols.setflags(write=False)
         tail, head = cols
@@ -180,6 +182,18 @@ def _parse_edges(text) -> tuple[DiGraph, np.ndarray]:
     keep = ~_repeats(_pair_keys(tail, head, n))
     g = DiGraph(n, np.column_stack((tail[keep], head[keep])))
     return g, labels[first[by_first]]
+
+
+def _label_ids(names, found, what):
+    """The ids of labels ``found`` in ``names``, or ``ValueError`` if absent."""
+    order = np.argsort(names, kind="stable")  # the relabel's sort kernel
+    at = np.searchsorted(names, found, sorter=order)
+    hit = at < names.size
+    hit[hit] = names[order[at[hit]]] == found[hit]
+    if not hit.all():
+        raise ValueError(f"{what} label {found[~hit][0]} does not occur in "
+                         "the graph")
+    return order[at]
 
 
 def parse_edge_list(text) -> tuple[DiGraph, dict[int, int]]:

@@ -208,6 +208,24 @@ class TestLabelArray:
         assert code == 0
         assert json.loads(out)["attachments"] == [[0, big + 2], [1, big]]
 
+    def test_sparse_labels_at_10k(self, capsys, tmp_path):
+        # every label, targets included, mapped by one random injection
+        # into [0, 10^15): each first appearance stays where it was, so the
+        # report is the dense file's with each label mapped
+        g = generate_er(10_000, 3, 1)
+        edges = list(zip(g.tail.tolist(), g.head.tolist()))
+        labels = sorted({v for e in edges for v in e})
+        to = dict(zip(labels, random.Random(7).sample(range(10 ** 15),
+                                                      len(labels))))
+        targets = random.Random(2).sample(labels, len(labels) // 10)
+        want = json.loads(_solve_text(capsys, tmp_path, edges, targets))
+        for key in ("paths", "cycles"):
+            want[key] = [[to[v] for v in row] for row in want[key]]
+        want["attachments"] = [[d, to[v]] for d, v in want["attachments"]]
+        out = _solve_text(capsys, tmp_path, [(to[a], to[b]) for a, b in edges],
+                          [to[v] for v in targets])
+        assert out == json.dumps(want, indent=2) + "\n"
+
 
 class TestInputFiles:
     """Graph and target files go through one reader with one set of rules."""

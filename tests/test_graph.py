@@ -9,7 +9,7 @@ import pytest
 import targetflow.graph
 from targetflow import (DiGraph, EdgeListError, format_edge_list,
                         from_adjacency, generate_er, generate_sf,
-                        parse_edge_list, to_adjacency)
+                        parse_edge_list, solve, to_adjacency)
 
 from conftest import CANONICAL_EDGES, random_graph
 from reference import er_edges, parse_lines, sf_edges
@@ -67,6 +67,19 @@ class TestDiGraph:
             assert DiGraph(2, empty).tail.size == 0
         assert DiGraph(np.int64(2), [(1, 0)]).edges == ((1, 0),)
 
+    def test_node_count_is_a_python_int_within_int64(self):
+        # a uint64 count beside int64 ids promoted the network to float
+        g = DiGraph(np.uint64(3), [(0, 1)])
+        assert type(g.n) is int and g.n == 3
+        assert solve(g, [0]).min_drivers == 1
+        with pytest.raises(ValueError, match="node count 9223372036854775808 "
+                                             "is beyond int64"):
+            DiGraph(2 ** 63, [(0, 1)])
+        with pytest.raises(ValueError, match="must be an integer"):
+            DiGraph(np.float64(3), [])
+        with pytest.raises(ValueError, match="must be non-negative"):
+            DiGraph(np.int64(-1), [])
+
 
 class TestParse:
     def test_compaction_by_first_appearance(self):
@@ -84,6 +97,22 @@ class TestParse:
     def test_duplicates_collapse(self):
         g, _ = parse_edge_list("1 2\n1 2\n2 1\n")
         assert g.edges == ((0, 1), (1, 0))
+
+    @pytest.mark.parametrize("text", [
+        "", "5 3\n3 5\n9 3\n3 5\n0 9\n",
+        f"{2 ** 64} 1\n1 {2 ** 63}\n{2 ** 63} 7\n"],
+        ids=["empty", "int64", "beyond-int64"])
+    def test_label_lookup(self, text):
+        # the CLI's target and --attach lookup, beside the relabel
+        _, names = targetflow.graph._parse_edges(text)
+        labels = parse_edge_list(text)[1]
+        found = names[::-1]
+        assert (targetflow.graph._label_ids(names, found, "target").tolist()
+                == [labels[v] for v in found.tolist()])
+        with pytest.raises(ValueError, match="^target label 4 does not occur "
+                                             "in the graph$"):
+            targetflow.graph._label_ids(names, np.array([*found, 4, 6]),
+                                        "target")
 
     def test_canonical_file(self):
         text = "".join(f"{t} {h}\n" for t, h in CANONICAL_EDGES)
