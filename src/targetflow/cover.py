@@ -11,7 +11,9 @@ Two equivalent routes are provided:
 
 * :func:`solve` converts the instance into a unit-capacity flow network by
   node splitting and reads the cover off a maximum flow; the minimum path
-  count is ``|targets| - maxflow``.
+  count is ``|targets| - maxflow``.  The network spans only the corridor,
+  the nodes between targets, numbered in order: no augmenting path leaves
+  it, so flow and cover are the full network's.  All-target sets skip that.
 * :func:`solve_via_circulation` keeps the intermediate network with unit
   lower bounds on target nodes and minimizes the source-to-sink flow
   directly.  It must agree with :func:`solve` and exists as a cross-check.
@@ -23,7 +25,7 @@ import numpy as np
 
 from .flow import (FlowAssignment, _distinct, max_flow_dinic,
                    min_flow_with_bounds)
-from .graph import DiGraph, _ids, _repeats
+from .graph import DiGraph, _ids, _pair_keys, _repeats
 from .network import BoundedFlowNetwork
 
 @dataclass(frozen=True)
@@ -184,10 +186,13 @@ def decompose_cover(cover_edges, targets) -> PathCover:
     return PathCover(paths, peel(sorted(nxt), []))  # only cycles are left
 
 
-def _read_cover(tnet, assignment: FlowAssignment, links: int) -> Solution:
-    """Solution of the unit-flow edges: one path per target less ``links``."""
-    members = tnet.targets
-    cover = decompose_cover(extract_cover_edges(tnet, assignment), members)
+def _read_cover(tnet, assignment, links: int, kept=None) -> Solution:
+    """Solution of the unit-flow edges: one path per target less ``links``,
+    node ``v`` of the network's graph read as ``kept[v]`` if given."""
+    members, edges = tnet.targets, extract_cover_edges(tnet, assignment)
+    if kept is not None:
+        members, edges = kept[list(members)], kept[edges]
+    cover = decompose_cover(edges, members)
     if len(cover.paths) != len(members) - links:
         raise AssertionError(f"path count {len(cover.paths)} inconsistent "
                              f"with {links} links over {len(members)} targets")
@@ -199,12 +204,47 @@ def solve(g: DiGraph, targets) -> Solution:
     when each drives one path from its head (an upper bound on the inputs
     the rank test needs), with the covering paths and cycles.
 
-    Builds the node-split network, pushes a maximum flow through it and
-    decomposes the unit-flow edges into ``|targets| - flow value`` paths.
+    Builds the node-split network on the corridor, the nodes reachable
+    from a target that also reach one, pushes a maximum flow through it
+    and decomposes the unit-flow edges into ``|targets| - flow value``
+    paths.  Its cut plus the nodes that cannot reach the sink is a cut of
+    the full network of equal capacity: no arc leaves them, no flow enters.
     """
+    g, targets, kept = _corridor(g, _ids(targets, below=g.n, name="target"))
     tnet = build_target_network(g, targets)
     assignment = max_flow_dinic(tnet.net)
-    return _read_cover(tnet, assignment, assignment.value)
+    return _read_cover(tnet, assignment, assignment.value, kept)
+
+
+def _corridor(g: DiGraph, targets):
+    """The subgraph on the corridor, its targets and the ids it keeps; or
+    the input and ``None`` when it keeps every node."""
+    inside = np.zeros(g.n, dtype=bool)
+    inside[targets] = True
+    if not inside.all():
+        ahead = _reach(g.n, g.tail, g.head, inside.copy(), targets)
+        inside = _reach(g.n, g.head, g.tail, inside | ~ahead, targets) & ahead
+    if inside.all():
+        return g, targets, None
+    index, edge = inside.cumsum() - 1, inside[g.tail] & inside[g.head]
+    sub = DiGraph.__new__(DiGraph)  # an induced subgraph needs no checks
+    sub.tail, sub.head = index[g.tail[edge]], index[g.head[edge]]
+    sub.n = int(index[-1]) + 1
+    return sub, index[targets], np.flatnonzero(inside)
+
+
+def _reach(n: int, src, dst, seen, frontier):
+    """Mark in ``seen`` the nodes that walks along ``src -> dst`` from
+    ``frontier`` reach through unseen nodes, breadth first; return it."""
+    heads = (np.sort(_pair_keys(src, dst, n)) % n).astype(np.int64, copy=False)
+    count = np.bincount(src, minlength=n)
+    end = count.cumsum()
+    while frontier.size:
+        at = (end[frontier] - (c := count[frontier]).cumsum()).repeat(c)
+        nxt = heads[at + np.arange(at.size)]
+        frontier = _distinct(nxt[~seen[nxt]])
+        seen[frontier] = True
+    return seen
 
 
 def build_circulation_network(g: DiGraph, targets) -> CirculationNetwork:

@@ -7,8 +7,8 @@ import pytest
 import targetflow.cover
 import targetflow.flow
 import targetflow.matching
-from targetflow import (INF, Arc, BoundedFlowNetwork, DiGraph, PathCover,
-                        allocate_drivers, build_associate_graph,
+from targetflow import (INF, Arc, BoundedFlowNetwork, DiGraph,
+                        FlowAssignment, PathCover, allocate_drivers, build_associate_graph,
                         build_circulation_network, build_target_network,
                         decompose_cover, driver_count, extract_cover_edges,
                         feasible_circulation, generate_er, max_flow_dinic,
@@ -417,6 +417,103 @@ class TestSolve:
             want = double_cover_drivers(g)
             assert solve(g, range(g.n)).min_drivers == want
             assert driver_count(g) == want
+
+
+def _full_route(g, targets):
+    """``solve`` as it runs without the corridor: on the whole network."""
+    tnet = build_target_network(g, targets)
+    assignment = max_flow_dinic(tnet.net)
+    return targetflow.cover._read_cover(tnet, assignment, assignment.value)
+
+
+def _corridor_cases(seed, count):
+    """Small graphs with self-loops, each with one of four kinds of target
+    set in turn: random; random plus nodes without edges; the nodes
+    without out-edges and a fresh one with in-edges only, so that no path
+    joins two targets; and every node."""
+    rng = random.Random(seed)
+    for i in range(count):
+        g = random_graph(rng, 12, 30)
+        edges = np.stack((g.tail, g.head), 1)
+        if i % 4 == 0:
+            yield g, random_targets(rng, g.n)
+        elif i % 4 == 1:
+            lone = rng.randint(1, 3)
+            yield (DiGraph(g.n + lone, edges),
+                   random_targets(rng, g.n) + list(range(g.n, g.n + lone)))
+        elif i % 4 == 2:
+            into = [(v, g.n) for v in rng.sample(range(g.n), rng.randint(
+                1, g.n))]
+            sinks = np.flatnonzero(np.bincount(g.tail, minlength=g.n) == 0)
+            yield (DiGraph(g.n + 1, np.concatenate((edges, into))),
+                   sinks.tolist() + [g.n])
+        else:
+            yield g, list(range(g.n))
+
+
+def _lifted(g, targets):
+    """The flow and cut of the corridor's network carried onto the full
+    network, the nodes that cannot reach its sink joined to the cut, and
+    the cut carried over alone, as a node mask."""
+    sub, members, kept = targetflow.cover._corridor(g, np.array(targets))
+    small = build_target_network(sub, members).net
+    fa = max_flow_dinic(small)
+    full = build_target_network(g, targets).net
+    n = g.n  # each of the small network's nodes on the full network
+    nodes = np.concatenate((kept, kept + n, [2 * n, 2 * n + 1]))
+    ends = list(zip(full.tail.tolist(), full.head.tolist()))
+    arc = {pair: i for i, pair in enumerate(ends)}
+    flow = np.zeros(len(ends), dtype=np.int64)
+    for f, a, b in zip(fa.flow.tolist(), nodes[small.tail].tolist(),
+                       nodes[small.head].tolist()):
+        flow[arc[a, b]] = f
+    into = {}
+    for a, b in ends:
+        into.setdefault(b, []).append(a)
+    reach, stack = {full.sink}, [full.sink]  # back from the sink
+    while stack:
+        fresh = set(into.get(stack.pop(), ())) - reach
+        reach |= fresh
+        stack += fresh
+    plain = np.zeros(full.node_count, dtype=bool)
+    plain[nodes[fa.cut]] = True
+    cut = plain.copy()
+    cut[list(set(range(full.node_count)) - reach)] = True
+    return full, FlowAssignment(flow, fa.value, cut), plain
+
+
+class TestCorridor:
+    def test_cover_equals_full_network(self):
+        kinds = [0, 0, 0, 0]  # cases of each kind that the corridor cuts
+        for i, (g, targets) in enumerate(_corridor_cases(31, 400)):
+            assert solve(g, targets) == _full_route(g, targets)
+            cut = targetflow.cover._corridor(g, np.array(targets))[2]
+            kinds[i % 4] += cut is not None
+        assert min(kinds[:3]) > 30 and kinds[3] == 0
+
+    # GOLDEN_1E5's ER instance and the golden unit_target_network case
+    @pytest.mark.parametrize("n, seed, pick, size", [(100_000, 1, 2, 10_000),
+                                                     (1000, 3, 3, 300)])
+    def test_cover_equals_full_network_at_scale(self, n, seed, pick, size):
+        g = generate_er(n, 3, seed)
+        targets = random.Random(pick).sample(range(n), size)
+        assert solve(g, targets) == _full_route(g, targets)
+
+    def test_cut_lifts_to_full_network(self):
+        cases = [(g, targets) for g, targets in _corridor_cases(37, 400)
+                 if targetflow.cover._corridor(g, np.array(targets))[2]
+                 is not None]
+        g = generate_er(1000, 3, 3)
+        cases.append((g, random.Random(3).sample(range(1000), 300)))
+        short = 0  # carried over alone, the cut misses the dead ends
+        for g, targets in cases:
+            full, lifted, plain = _lifted(g, targets)
+            verify_optimality(full, lifted)
+            try:
+                verify_optimality(full, lifted._replace(cut=plain))
+            except ValueError:
+                short += 1
+        assert len(cases) > 150 and short > 10
 
 
 class TestCirculationRoute:
