@@ -8,13 +8,14 @@ import targetflow.cover
 import targetflow.flow
 import targetflow.matching
 from targetflow import (INF, Arc, BoundedFlowNetwork, DiGraph,
-                        FlowAssignment, PathCover, allocate_drivers, build_associate_graph,
-                        build_circulation_network, build_target_network,
-                        decompose_cover, driver_count, extract_cover_edges,
-                        feasible_circulation, generate_er, max_flow_dinic,
-                        max_matching, min_flow_with_bounds, solve,
-                        solve_via_circulation, sweep, validate_assignment,
-                        verify_cover, verify_optimality)
+                        FlowAssignment, PathCover, allocate_drivers,
+                        build_associate_graph, build_circulation_network,
+                        build_target_network, decompose_cover, driver_count,
+                        extract_cover_edges, feasible_circulation,
+                        generate_er, max_flow_dinic, max_matching,
+                        min_flow_with_bounds, solve, solve_via_circulation,
+                        sweep, validate_assignment, verify_cover,
+                        verify_optimality)
 
 from conftest import random_graph, random_targets
 from reference import (circulation_network_arcs, double_cover_drivers,
@@ -487,8 +488,8 @@ class TestCorridor:
         kinds = [0, 0, 0, 0]  # cases of each kind that the corridor cuts
         for i, (g, targets) in enumerate(_corridor_cases(31, 400)):
             assert solve(g, targets) == _full_route(g, targets)
-            cut = targetflow.cover._corridor(g, np.array(targets))[2]
-            kinds[i % 4] += cut is not None
+            kept = targetflow.cover._corridor(g, np.array(targets))[2]
+            kinds[i % 4] += kept is not None
         assert min(kinds[:3]) > 30 and kinds[3] == 0
 
     # GOLDEN_1E5's ER instance and the golden unit_target_network case
